@@ -15,7 +15,7 @@ BENCH ?= BenchmarkSelectEmpirically|BenchmarkMeasureThenRun|BenchmarkPartitionBu
 BENCH_COUNT ?= 10
 BENCH_OUT ?= bench.txt
 
-.PHONY: all build test vet lint race bench bench-smoke bench-compare bench-scale bench-scale-xl scalebench loadgen-smoke dist-smoke fuzz fuzz-smoke compat check
+.PHONY: all build test vet lint race bench bench-selftest bench-smoke bench-compare bench-scale bench-scale-xl scalebench loadgen-smoke dist-smoke fuzz fuzz-smoke compat check
 
 all: check
 
@@ -116,6 +116,12 @@ dist-smoke:
 	$(GO) build -o ./bin/loadgen ./cmd/loadgen
 	$(GO) run ./cmd/distsmoke -bin-dir ./bin -rps $(DIST_RPS) \
 		-duration $(DIST_DURATION) -out $(DIST_OUT) -metrics-out $(DIST_METRICS)
+
+# Build, vet and self-test the cutfitbench benchmark (a nested module that
+# root `go test ./...` does not build) against this checkout, so an API
+# change the benchmark depends on fails here rather than at benchmark time.
+bench-selftest:
+	cd cutfitbench && $(GO) vet . && $(GO) test .
 
 # One-iteration pass over the concurrent-serving benchmarks: fast enough
 # for CI, still executes the pooled/fresh and hit/miss paths end to end.

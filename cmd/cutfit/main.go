@@ -15,8 +15,9 @@
 //	    the same with AdviseReport).
 //
 //	cutfit run -in graph.txt -alg pagerank -strategy 2D -parts 128
-//	    Execute an algorithm on the partitioned graph and print the
-//	    simulated cluster time breakdown. -strategy auto empirically
+//	    Execute any registered algorithm on the partitioned graph through
+//	    a Session and print its RunReport: the headline result, engine
+//	    traffic and simulated cluster time. -strategy auto empirically
 //	    selects the best strategy for -alg and runs the winner from its
 //	    already-computed assignment.
 //
@@ -43,8 +44,10 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"cutfit"
+	"cutfit/internal/algorithms"
 	"cutfit/internal/core"
 )
 
@@ -198,130 +201,53 @@ func cmdMetrics(args []string) error {
 	return nil
 }
 
+// algFlagHelp lists the algorithm registry for the -alg flags.
+var algFlagHelp = "algorithm: " + strings.Join(algorithms.Names(), ", ")
+
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	in := fs.String("in", "", "input edge-list file")
 	dataset := fs.String("dataset", "", "analog dataset name")
-	alg := fs.String("alg", "pagerank", "algorithm: pagerank, cc, triangles, sssp")
+	alg := fs.String("alg", "pagerank", algFlagHelp)
 	strategy := fs.String("strategy", "2D", strategyFlagHelp+", or \"auto\" to select empirically for -alg")
 	parts := fs.Int("parts", 128, "number of partitions")
-	iters := fs.Int("iters", 10, "iterations for pagerank/cc")
+	iters := fs.Int("iters", 10, "iterations for pagerank/dynamicpr/cc")
 	fs.Parse(args)
 	g, err := loadGraph(*in, *dataset)
 	if err != nil {
 		return err
 	}
-	// One assignment pass feeds everything downstream: with an explicit
-	// strategy the graph is assigned once and built from that assignment;
-	// with "auto" every candidate is assigned once, ranked by the
-	// algorithm's predictive metric, and the winner's retained assignment
-	// is built directly — no re-partitioning either way.
-	var a *cutfit.Assignment
+	// One assignment pass feeds everything downstream: the session caches
+	// every candidate's assignment, so with "auto" the winner is built from
+	// the pass that ranked it — no re-partitioning either way.
+	se := cutfit.NewSession(cutfit.SessionOptions{})
+	var s cutfit.Strategy
 	if *strategy == "auto" {
 		profile, err := cutfit.ProfileFor(*alg)
 		if err != nil {
 			return err
 		}
-		sel, err := cutfit.Select(g, cutfit.Strategies(), *parts, profile)
+		sel, err := se.Select(g, cutfit.Strategies(), *parts, profile)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("auto-selected strategy %s (minimizes %s)\n", sel.Strategy.Name(), profile.Metric)
-		a = sel.Assignment
-	} else {
-		s, err := cutfit.StrategyByName(*strategy)
-		if err != nil {
-			return err
-		}
-		if a, err = cutfit.PartitionAssignment(g, s, *parts); err != nil {
-			return err
-		}
+		s = sel.Strategy
+	} else if s, err = cutfit.StrategyByName(*strategy); err != nil {
+		return err
 	}
-	pg, err := cutfit.PartitionFromAssignment(a, cutfit.PartitionOptions{})
+	rep, err := se.Run(context.Background(), g, s, *parts, *alg, *iters)
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
-	var stats *cutfit.RunStats
-	switch *alg {
-	case "pagerank":
-		ranks, st, err := cutfit.RunPageRank(ctx, pg, *iters)
-		if err != nil {
-			return err
-		}
-		stats = st
-		printTopRanks(g, ranks, 5)
-	case "cc":
-		labels, st, err := cutfit.RunConnectedComponents(ctx, pg, *iters)
-		if err != nil {
-			return err
-		}
-		stats = st
-		set := map[cutfit.VertexID]bool{}
-		for _, l := range labels {
-			set[l] = true
-		}
-		fmt.Printf("components: %d (converged=%v)\n", len(set), st.Converged)
-	case "triangles":
-		counts, st, err := cutfit.RunTriangleCount(ctx, pg)
-		if err != nil {
-			return err
-		}
-		stats = st
-		var total int64
-		for _, c := range counts {
-			total += c
-		}
-		fmt.Printf("triangles: %d\n", total/3)
-	case "sssp":
-		verts := g.Vertices()
-		landmark := verts[0]
-		dists, st, err := cutfit.RunShortestPaths(ctx, pg, []cutfit.VertexID{landmark}, 0)
-		if err != nil {
-			return err
-		}
-		stats = st
-		reached := 0
-		for _, d := range dists {
-			if len(d) > 0 {
-				reached++
-			}
-		}
-		fmt.Printf("sssp: landmark %d reached from %d/%d vertices\n", landmark, reached, len(dists))
-	default:
-		return fmt.Errorf("unknown algorithm %q", *alg)
-	}
-	cfg := cutfit.ConfigI()
-	cfg.NumPartitions = *parts
-	b, err := cfg.Simulate(stats, cutfit.EstimateGraphBytes(g.NumEdges()))
+	result, err := json.Marshal(rep.RunSummary)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("supersteps=%d broadcastMsgs=%d reduceMsgs=%d\n",
-		stats.NumSupersteps(), stats.TotalBroadcastMsgs(), stats.TotalReduceMsgs())
-	fmt.Println("simulated cluster time:", b)
+	fmt.Printf("%s on %s, %d parts: %s (converged=%v)\n", rep.Algorithm, rep.Strategy, rep.Parts, result, rep.Converged)
+	fmt.Printf("supersteps=%d broadcastMsgs=%d reduceMsgs=%d\n", rep.Supersteps, rep.BroadcastMsgs, rep.ReduceMsgs)
+	fmt.Printf("simulated cluster time: %.3fs\n", rep.SimSecs)
 	return nil
-}
-
-func printTopRanks(g *cutfit.Graph, ranks []float64, k int) {
-	type vr struct {
-		v cutfit.VertexID
-		r float64
-	}
-	verts := g.Vertices()
-	top := make([]vr, len(ranks))
-	for i, r := range ranks {
-		top[i] = vr{verts[i], r}
-	}
-	sort.Slice(top, func(i, j int) bool { return top[i].r > top[j].r })
-	if k > len(top) {
-		k = len(top)
-	}
-	fmt.Print("top ranks:")
-	for _, t := range top[:k] {
-		fmt.Printf(" %d=%.3f", t.v, t.r)
-	}
-	fmt.Println()
 }
 
 // cmdSnapshot warms a session — one assignment pass, one metric set and
@@ -407,7 +333,7 @@ func cmdAdvise(args []string) error {
 	fs := flag.NewFlagSet("advise", flag.ExitOnError)
 	in := fs.String("in", "", "input edge-list file")
 	dataset := fs.String("dataset", "", "analog dataset name")
-	alg := fs.String("alg", "pagerank", "algorithm: pagerank, cc, triangles, sssp")
+	alg := fs.String("alg", "pagerank", algFlagHelp)
 	parts := fs.Int("parts", 128, "number of partitions")
 	measure := fs.Bool("measure", false, "empirically measure and rank all strategies")
 	asJSON := fs.Bool("json", false, "emit the cutfitd AdviseReport JSON encoding instead of text")

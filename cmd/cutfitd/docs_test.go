@@ -2,11 +2,14 @@ package main
 
 import (
 	"os"
+	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/algorithms"
 )
 
 // TestAPIDocCoversRoutes keeps docs/API.md in sync with the daemon's
@@ -22,6 +25,38 @@ func TestAPIDocCoversRoutes(t *testing.T) {
 	for _, rt := range apiRoutes {
 		if want := rt.method + " " + rt.path; !strings.Contains(doc, want) {
 			t.Errorf("docs/API.md does not document the route %q", want)
+		}
+	}
+}
+
+// TestAPIDocListsRegistryAlgorithms keeps the `alg` lists of /v1/advise
+// and /v1/run in docs/API.md equal to the algorithm registry, which both
+// endpoints resolve names through.
+func TestAPIDocListsRegistryAlgorithms(t *testing.T) {
+	raw, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatalf("reading docs/API.md: %v", err)
+	}
+	doc := string(raw)
+	want := algorithms.Names()
+	sort.Strings(want)
+	sentence := regexp.MustCompile("`alg`[^.]*\\.")
+	name := regexp.MustCompile("`([a-z]+)`")
+	for _, route := range []string{"POST /v1/advise", "POST /v1/run"} {
+		i := strings.Index(doc, "## "+route)
+		if i < 0 {
+			t.Fatalf("docs/API.md has no section %q", route)
+		}
+		m := sentence.FindString(doc[i:])
+		var got []string
+		for _, n := range name.FindAllStringSubmatch(m, -1) {
+			if n[1] != "alg" {
+				got = append(got, n[1])
+			}
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("docs/API.md %s lists alg %v, registry has %v", route, got, want)
 		}
 	}
 }

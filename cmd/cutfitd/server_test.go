@@ -274,6 +274,26 @@ func TestServerErrors(t *testing.T) {
 	}
 }
 
+// TestServerRunUnknownAlgorithmBuildsNothing: a /v1/run naming an
+// unknown algorithm is a 400 that partitions and caches nothing.
+func TestServerRunUnknownAlgorithmBuildsNothing(t *testing.T) {
+	ts := newTestServer(t)
+	b, _ := json.Marshal(map[string]any{"graph": "tri", "alg": "bogus", "strategy": "2D", "parts": 4})
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	var st cutfit.CacheStats
+	get(t, ts, "/v1/stats", &st)
+	if st.Misses != 0 || st.Entries != 0 {
+		t.Fatalf("rejected run touched the cache: %d misses, %d entries", st.Misses, st.Entries)
+	}
+}
+
 // TestServerAppendEdges streams a batch into a registered graph and checks
 // that runs see the grown generation, the old generation's cache seeds the
 // new one (DeltaDerived > 0), and results match a cold server registered

@@ -18,6 +18,7 @@ import (
 	"os"
 	"sort"
 
+	"cutfit/internal/algorithms"
 	"cutfit/internal/bench"
 	"cutfit/internal/partition"
 	"cutfit/internal/pregel"
@@ -94,32 +95,39 @@ func main() {
 	}
 }
 
-// paperMetric returns the metric the paper's figure uses for an algorithm.
-func paperMetric(alg bench.Algorithm) string {
-	if alg == bench.Triangles {
-		return "Cut"
+// paperMetric returns the metric the paper's figure uses for an algorithm:
+// the predictive metric of its registry profile.
+func paperMetric(alg bench.Algorithm) (string, error) {
+	a, err := algorithms.Lookup(string(alg))
+	if err != nil {
+		return "", err
 	}
-	return "CommCost"
+	return a.Profile.Metric, nil
 }
 
-// figureName maps algorithms to the paper's figure numbers.
+// figureNames maps algorithms to the paper's figure numbers.
+var figureNames = map[bench.Algorithm]string{
+	bench.PageRank:            "Figure 3 (PageRank)",
+	bench.ConnectedComponents: "Figure 4 (Connected Components)",
+	bench.Triangles:           "Figure 5 (Triangle Count)",
+	bench.SSSP:                "Figure 6 (SSSP)",
+}
+
+// figureName names an algorithm's figure, or the algorithm itself when the
+// paper has none for it.
 func figureName(alg bench.Algorithm) string {
-	switch alg {
-	case bench.PageRank:
-		return "Figure 3 (PageRank)"
-	case bench.ConnectedComponents:
-		return "Figure 4 (Connected Components)"
-	case bench.Triangles:
-		return "Figure 5 (Triangle Count)"
-	case bench.SSSP:
-		return "Figure 6 (SSSP)"
+	if name, ok := figureNames[alg]; ok {
+		return name
 	}
 	return string(alg)
 }
 
 func runFigure(ctx context.Context, alg bench.Algorithm, metric string, winners bool) error {
 	if metric == "" {
-		metric = paperMetric(alg)
+		var err error
+		if metric, err = paperMetric(alg); err != nil {
+			return err
+		}
 	}
 	fmt.Printf("=== %s: execution time vs %s ===\n", figureName(alg), metric)
 	e := newExperiment(alg)
@@ -177,7 +185,10 @@ func runFigure(ctx context.Context, alg bench.Algorithm, metric string, winners 
 // axes log-scaled like the paper's figures) and/or writes it as CSV.
 func renderFigure(ctx context.Context, alg bench.Algorithm, metric string, plot bool, csvPath string) error {
 	if metric == "" {
-		metric = paperMetric(alg)
+		var err error
+		if metric, err = paperMetric(alg); err != nil {
+			return err
+		}
 	}
 	e := newExperiment(alg)
 	res, err := e.Run(ctx)

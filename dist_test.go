@@ -10,12 +10,15 @@ import (
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/algorithms"
 	"cutfit/internal/dist"
 )
 
 // TestSessionDistributedRun drives Session.Run through an attached worker
 // pool on loopback sockets and requires the report to be deep-equal to the
-// same Session running locally — values, stats, simulated time, all of it.
+// same Session running locally — values, stats, simulated time, all of it —
+// for every registered algorithm (local-only ones run in-process) under
+// several strategies.
 func TestSessionDistributedRun(t *testing.T) {
 	g := sessionTestGraph(t)
 	ctx := context.Background()
@@ -30,17 +33,19 @@ func TestSessionDistributedRun(t *testing.T) {
 	}
 	distSe.AttachWorkers(cutfit.NewWorkerPool(urls))
 
-	for _, alg := range []string{"pagerank", "dynamicpr", "cc"} {
-		want, err := local.Run(ctx, g, cutfit.EdgePartition2D(), 6, alg, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := distSe.Run(ctx, g, cutfit.EdgePartition2D(), 6, alg, 8)
-		if err != nil {
-			t.Fatalf("distributed %s: %v", alg, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: distributed report diverges from local\n got: %+v\nwant: %+v", alg, got, want)
+	for _, s := range []cutfit.Strategy{cutfit.EdgePartition2D(), cutfit.RandomVertexCut(), cutfit.DestinationCut()} {
+		for _, alg := range algorithms.Names() {
+			want, err := local.Run(ctx, g, s, 6, alg, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := distSe.Run(ctx, g, s, 6, alg, 8)
+			if err != nil {
+				t.Fatalf("distributed %s/%s: %v", alg, s.Name(), err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: distributed report diverges from local\n got: %+v\nwant: %+v", alg, s.Name(), got, want)
+			}
 		}
 	}
 }

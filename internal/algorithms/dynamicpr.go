@@ -24,27 +24,36 @@ type PRState struct {
 //
 // maxIter of 0 means no cap.
 func DynamicPageRank(ctx context.Context, pg *pregel.PartitionedGraph, tol, resetProb float64, maxIter int) ([]float64, *pregel.RunStats, error) {
-	if tol <= 0 {
-		return nil, nil, fmt.Errorf("algorithms: DynamicPageRank needs tol > 0, got %g", tol)
+	prog, err := DynamicPageRankProgram(tol, resetProb, maxIter, GraphDegreeFunc(pg.G))
+	if err != nil {
+		return nil, nil, err
 	}
-	if resetProb < 0 || resetProb >= 1 {
-		return nil, nil, fmt.Errorf("algorithms: DynamicPageRank resetProb %g out of [0,1)", resetProb)
-	}
-	prog := DynamicPageRankProgram(tol, resetProb, maxIter, GraphDegreeFunc(pg.G))
 	vals, stats, err := pregel.Run(ctx, pg, prog)
 	if err != nil {
 		return nil, nil, err
 	}
+	return Ranks(vals), stats, nil
+}
+
+// Ranks extracts the ranks from dynamic PageRank's vertex states.
+func Ranks(vals []PRState) []float64 {
 	ranks := make([]float64, len(vals))
 	for i, v := range vals {
 		ranks[i] = v.Rank
 	}
-	return ranks, stats, nil
+	return ranks
 }
 
 // DynamicPageRankProgram is the until-convergence PageRank Pregel program,
-// exported so the distributed worker runs exactly the engine's program.
-func DynamicPageRankProgram(tol, resetProb float64, maxIter int, degOf func(graph.VertexID) float64) pregel.Program[PRState, float64] {
+// exported so the distributed worker runs exactly the engine's program. It
+// rejects the parameters DynamicPageRank rejects.
+func DynamicPageRankProgram(tol, resetProb float64, maxIter int, degOf func(graph.VertexID) float64) (pregel.Program[PRState, float64], error) {
+	if tol <= 0 {
+		return pregel.Program[PRState, float64]{}, fmt.Errorf("algorithms: DynamicPageRank needs tol > 0, got %g", tol)
+	}
+	if resetProb < 0 || resetProb >= 1 {
+		return pregel.Program[PRState, float64]{}, fmt.Errorf("algorithms: DynamicPageRank resetProb %g out of [0,1)", resetProb)
+	}
 	return pregel.Program[PRState, float64]{
 		Init: func(id graph.VertexID) PRState { return PRState{} },
 		VProg: func(id graph.VertexID, val PRState, msg float64) PRState {
@@ -67,7 +76,7 @@ func DynamicPageRankProgram(tol, resetProb float64, maxIter int, degOf func(grap
 		InitialMsg:      resetProb / (1 - resetProb),
 		MaxIterations:   maxIter,
 		ActiveDirection: pregel.Out,
-	}
+	}, nil
 }
 
 // DynamicPageRankSeq is the sequential oracle: Jacobi iteration of the

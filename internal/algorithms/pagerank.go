@@ -27,13 +27,22 @@ const prInitSentinel = -1.0
 // It returns the rank per dense vertex index (aligned with pg.G.Vertices())
 // and the engine statistics.
 func PageRank(ctx context.Context, pg *pregel.PartitionedGraph, numIter int, resetProb float64) ([]float64, *pregel.RunStats, error) {
+	prog, err := PageRankProgram(numIter, resetProb, GraphDegreeFunc(pg.G))
+	if err != nil {
+		return nil, nil, err
+	}
+	return pregel.Run(ctx, pg, prog)
+}
+
+// checkPageRank validates static PageRank's parameters.
+func checkPageRank(numIter int, resetProb float64) error {
 	if numIter <= 0 {
-		return nil, nil, fmt.Errorf("algorithms: PageRank needs numIter > 0, got %d", numIter)
+		return fmt.Errorf("algorithms: PageRank needs numIter > 0, got %d", numIter)
 	}
 	if resetProb < 0 || resetProb >= 1 {
-		return nil, nil, fmt.Errorf("algorithms: PageRank resetProb %g out of [0,1)", resetProb)
+		return fmt.Errorf("algorithms: PageRank resetProb %g out of [0,1)", resetProb)
 	}
-	return pregel.Run(ctx, pg, PageRankProgram(numIter, resetProb, GraphDegreeFunc(pg.G)))
+	return nil
 }
 
 // GraphDegreeFunc returns the out-degree lookup the PageRank programs use,
@@ -50,8 +59,12 @@ func GraphDegreeFunc(g *graph.Graph) func(graph.VertexID) float64 {
 
 // PageRankProgram is the static-PageRank Pregel program, exported so the
 // distributed worker can instantiate exactly the engine's program from the
-// run spec (same constants, same float operation order).
-func PageRankProgram(numIter int, resetProb float64, degOf func(graph.VertexID) float64) pregel.Program[float64, float64] {
+// run spec (same constants, same float operation order). It rejects the
+// parameters PageRank rejects.
+func PageRankProgram(numIter int, resetProb float64, degOf func(graph.VertexID) float64) (pregel.Program[float64, float64], error) {
+	if err := checkPageRank(numIter, resetProb); err != nil {
+		return pregel.Program[float64, float64]{}, err
+	}
 	return pregel.Program[float64, float64]{
 		Init: func(id graph.VertexID) float64 { return 1.0 },
 		VProg: func(id graph.VertexID, val, msg float64) float64 {
@@ -70,7 +83,7 @@ func PageRankProgram(numIter int, resetProb float64, degOf func(graph.VertexID) 
 		InitialMsg:      prInitSentinel,
 		MaxIterations:   numIter,
 		ActiveDirection: pregel.AllEdges, // static PR scans all edges every round
-	}
+	}, nil
 }
 
 // PageRankSeq is the sequential oracle with identical semantics to

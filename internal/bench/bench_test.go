@@ -25,14 +25,17 @@ func tinyConfigs() []cluster.Config {
 	return []cluster.Config{coarse, fine}
 }
 
+// tinyIterations keeps each iterative algorithm's round cap: pagerank 5,
+// cc 10.
+var tinyIterations = map[Algorithm]int{PageRank: 5, ConnectedComponents: 10}
+
 func tinyExperiment(alg Algorithm) Experiment {
 	return Experiment{
 		Algorithm:     alg,
 		Datasets:      datasets.TinySuite(),
 		Strategies:    partition.All(),
 		Configs:       tinyConfigs(),
-		PRIterations:  5,
-		CCIterations:  10,
+		Iterations:    tinyIterations[alg],
 		SSSPLandmarks: 2,
 		Seed:          7,
 	}
@@ -54,7 +57,7 @@ func TestExperimentValidate(t *testing.T) {
 		t.Error("no datasets should fail validation")
 	}
 	bad = e
-	bad.PRIterations = 0
+	bad.Iterations = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("PR without iterations should fail validation")
 	}

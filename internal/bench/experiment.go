@@ -44,10 +44,9 @@ type Experiment struct {
 	Strategies []partition.Strategy
 	Configs    []cluster.Config
 
-	// PRIterations and CCIterations bound the iterative algorithms; the
-	// paper runs both for 10 iterations.
-	PRIterations int
-	CCIterations int
+	// Iterations is the round cap handed to the algorithm registry
+	// (pagerank and cc read it; the paper runs both for 10 iterations).
+	Iterations int
 	// SSSPLandmarks is the number of randomly selected source vertices per
 	// dataset; the paper uses 5 and averages.
 	SSSPLandmarks int
@@ -80,8 +79,7 @@ func DefaultExperiment(alg Algorithm) Experiment {
 		Datasets:      specs,
 		Strategies:    partition.All(),
 		Configs:       []cluster.Config{cluster.ConfigI(), cluster.ConfigII()},
-		PRIterations:  10,
-		CCIterations:  10,
+		Iterations:    10,
 		SSSPLandmarks: 5,
 		Seed:          0x5EED,
 	}
@@ -115,13 +113,12 @@ func (e *Experiment) Validate() error {
 	if len(e.Datasets) == 0 || len(e.Strategies) == 0 || len(e.Configs) == 0 {
 		return fmt.Errorf("bench: experiment needs datasets, strategies and configs")
 	}
-	switch e.Algorithm {
-	case PageRank, ConnectedComponents, Triangles, SSSP:
-	default:
-		return fmt.Errorf("bench: unknown algorithm %q", e.Algorithm)
+	alg, err := algorithms.Lookup(string(e.Algorithm))
+	if err != nil {
+		return fmt.Errorf("bench: %w", err)
 	}
-	if e.Algorithm == PageRank && e.PRIterations <= 0 {
-		return fmt.Errorf("bench: PageRank needs positive iterations")
+	if _, err := alg.Params(nil, e.Iterations); err != nil {
+		return fmt.Errorf("bench: %w", err)
 	}
 	if e.Algorithm == SSSP && e.SSSPLandmarks <= 0 {
 		return fmt.Errorf("bench: SSSP needs at least one landmark")
@@ -172,73 +169,58 @@ func (e *Experiment) runCell(ctx context.Context, g *graph.Graph, dataset string
 	}
 	m := pg.Metrics()
 
-	graphBytes := cluster.EstimateGraphBytes(g.NumEdges())
-	start := time.Now()
-	var breakdown cluster.Breakdown
-	switch e.Algorithm {
-	case PageRank:
-		_, stats, err := algorithms.PageRank(ctx, pg, e.PRIterations, algorithms.DefaultResetProb)
-		if err != nil {
-			return Run{}, err
-		}
-		breakdown, err = cfg.Simulate(stats, graphBytes)
-		if err != nil {
-			return Run{}, err
-		}
-		return e.finishRun(dataset, strat, cfg, m, stats, breakdown, start), nil
-	case ConnectedComponents:
-		_, stats, err := algorithms.ConnectedComponents(ctx, pg, e.CCIterations)
-		if err != nil {
-			return Run{}, err
-		}
-		breakdown, err = cfg.Simulate(stats, graphBytes)
-		if err != nil {
-			return Run{}, err
-		}
-		return e.finishRun(dataset, strat, cfg, m, stats, breakdown, start), nil
-	case Triangles:
-		_, stats, err := algorithms.TriangleCount(ctx, pg)
-		if err != nil {
-			return Run{}, err
-		}
-		breakdown, err = cfg.Simulate(stats, graphBytes)
-		if err != nil {
-			return Run{}, err
-		}
-		return e.finishRun(dataset, strat, cfg, m, stats, breakdown, start), nil
-	case SSSP:
-		// One single-source run per landmark, averaged — mirroring the
-		// paper's average over 5 source vertices.
-		var acc cluster.Breakdown
-		merged := &pregel.RunStats{Converged: true}
-		for _, l := range landmarks {
-			_, stats, err := algorithms.ShortestPaths(ctx, pg, []graph.VertexID{l}, 0)
-			if err != nil {
-				return Run{}, err
-			}
-			b, err := cfg.Simulate(stats, graphBytes)
-			if err != nil {
-				return Run{}, err
-			}
-			acc.LoadSecs += b.LoadSecs
-			acc.ComputeSecs += b.ComputeSecs
-			acc.NetworkSecs += b.NetworkSecs
-			acc.BarrierSecs += b.BarrierSecs
-			merged.Supersteps = append(merged.Supersteps, stats.Supersteps...)
-			merged.Converged = merged.Converged && stats.Converged
-		}
-		n := float64(len(landmarks))
-		breakdown = cluster.Breakdown{
-			LoadSecs:    acc.LoadSecs / n,
-			ComputeSecs: acc.ComputeSecs / n,
-			NetworkSecs: acc.NetworkSecs / n,
-			BarrierSecs: acc.BarrierSecs / n,
-		}
-		run := e.finishRun(dataset, strat, cfg, m, merged, breakdown, start)
-		run.WallSecs /= n
-		return run, nil
+	alg, err := algorithms.Lookup(string(e.Algorithm))
+	if err != nil {
+		return Run{}, err
 	}
-	return Run{}, fmt.Errorf("unknown algorithm %q", e.Algorithm)
+	p, err := alg.Params(g, e.Iterations)
+	if err != nil {
+		return Run{}, err
+	}
+	graphBytes := cluster.EstimateGraphBytes(g.NumEdges())
+	simulate := func(p algorithms.Params) (*pregel.RunStats, cluster.Breakdown, error) {
+		_, stats, err := alg.Run(ctx, pg, p)
+		if err != nil {
+			return nil, cluster.Breakdown{}, err
+		}
+		b, err := cfg.Simulate(stats, graphBytes)
+		return stats, b, err
+	}
+	start := time.Now()
+	if e.Algorithm != SSSP {
+		stats, b, err := simulate(p)
+		if err != nil {
+			return Run{}, err
+		}
+		return e.finishRun(dataset, strat, cfg, m, stats, b, start), nil
+	}
+	// One single-source run per landmark, averaged — mirroring the paper's
+	// average over 5 source vertices.
+	var acc cluster.Breakdown
+	merged := &pregel.RunStats{Converged: true}
+	for _, l := range landmarks {
+		p.Landmarks = []graph.VertexID{l}
+		stats, b, err := simulate(p)
+		if err != nil {
+			return Run{}, err
+		}
+		acc.LoadSecs += b.LoadSecs
+		acc.ComputeSecs += b.ComputeSecs
+		acc.NetworkSecs += b.NetworkSecs
+		acc.BarrierSecs += b.BarrierSecs
+		merged.Supersteps = append(merged.Supersteps, stats.Supersteps...)
+		merged.Converged = merged.Converged && stats.Converged
+	}
+	n := float64(len(landmarks))
+	breakdown := cluster.Breakdown{
+		LoadSecs:    acc.LoadSecs / n,
+		ComputeSecs: acc.ComputeSecs / n,
+		NetworkSecs: acc.NetworkSecs / n,
+		BarrierSecs: acc.BarrierSecs / n,
+	}
+	run := e.finishRun(dataset, strat, cfg, m, merged, breakdown, start)
+	run.WallSecs /= n
+	return run, nil
 }
 
 func (e *Experiment) finishRun(dataset string, strat partition.Strategy, cfg cluster.Config,

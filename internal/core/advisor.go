@@ -19,6 +19,7 @@ package core
 import (
 	"fmt"
 
+	"cutfit/internal/algorithms"
 	"cutfit/internal/graph"
 	"cutfit/internal/metrics"
 	"cutfit/internal/partition"
@@ -27,46 +28,38 @@ import (
 )
 
 // Profile classifies an algorithm by its communication structure, which
-// determines the predictive partitioning metric.
-type Profile struct {
-	// Name is a human-readable algorithm name.
-	Name string
-	// EdgeBound is true when complexity is dominated by edge traversal
-	// with small per-vertex state (PageRank, CC, SSSP); false when the
-	// algorithm keeps heavy per-vertex state (Triangle Count).
-	EdgeBound bool
-	// Metric is the partitioning metric that predicts execution time for
-	// this profile: "CommCost" for edge-bound algorithms, "Cut" otherwise.
-	Metric string
-	// IterationsScaleWithDiameter is true for algorithms whose superstep
-	// count follows the graph diameter (SSSP, CC to convergence).
-	IterationsScaleWithDiameter bool
-}
+// determines the predictive partitioning metric. Each algorithm's profile
+// lives in its internal/algorithms registry entry.
+type Profile = algorithms.Profile
 
-// Built-in profiles for the paper's four algorithms.
+// Built-in profiles for the paper's four algorithms, read from the
+// algorithm registry.
 var (
-	ProfilePageRank = Profile{Name: "pagerank", EdgeBound: true, Metric: "CommCost"}
-	ProfileCC       = Profile{Name: "cc", EdgeBound: true, Metric: "CommCost", IterationsScaleWithDiameter: true}
-	ProfileTR       = Profile{Name: "triangles", EdgeBound: false, Metric: "Cut"}
-	ProfileSSSP     = Profile{Name: "sssp", EdgeBound: true, Metric: "CommCost", IterationsScaleWithDiameter: true}
+	ProfilePageRank = registryProfile("pagerank")
+	ProfileCC       = registryProfile("cc")
+	ProfileTR       = registryProfile("triangles")
+	ProfileSSSP     = registryProfile("sssp")
 )
 
-// ProfileFor returns the built-in profile for one of the four paper
-// algorithms ("pagerank", "cc", "triangles", "sssp"). "dynamicpr" — the
-// convergence-gated PageRank variant — shares PageRank's communication
-// structure and resolves to its profile.
-func ProfileFor(alg string) (Profile, error) {
-	switch alg {
-	case "pagerank", "dynamicpr":
-		return ProfilePageRank, nil
-	case "cc":
-		return ProfileCC, nil
-	case "triangles":
-		return ProfileTR, nil
-	case "sssp":
-		return ProfileSSSP, nil
+// registryProfile reads a built-in profile; a missing entry is a bug in the
+// registry, so it panics at start-up.
+func registryProfile(alg string) Profile {
+	p, err := ProfileFor(alg)
+	if err != nil {
+		panic(err)
 	}
-	return Profile{}, fmt.Errorf("core: unknown algorithm %q", alg)
+	return p
+}
+
+// ProfileFor returns the profile of a registered algorithm; "dynamicpr" —
+// the convergence-gated PageRank variant — shares PageRank's communication
+// structure and profile. The error for an unknown name lists the registry.
+func ProfileFor(alg string) (Profile, error) {
+	a, err := algorithms.Lookup(alg)
+	if err != nil {
+		return Profile{}, err
+	}
+	return a.Profile, nil
 }
 
 // GraphFacts are the dataset properties the heuristic advisor consults.

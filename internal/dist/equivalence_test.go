@@ -2,9 +2,11 @@ package dist
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"testing"
 
 	"cutfit/internal/algorithms"
@@ -95,10 +97,32 @@ func assertStatsEqual(t *testing.T, label string, got, want *pregel.RunStats) {
 	}
 }
 
-// TestDistributedEquivalence is the core contract: every supported
-// algorithm, over both graph families and several partition counts,
-// produces bit-identical values AND identical engine statistics whether
-// the supersteps run in-process or across workers on loopback sockets.
+// wireNames returns the wire table's algorithm names, sorted.
+func wireNames() []string {
+	names := make([]string, 0, len(wireAlgs))
+	for name := range wireAlgs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// assertOutputEqual requires a distributed output to match the local one:
+// ranks bit for bit, every other result field exactly.
+func assertOutputEqual(t *testing.T, label string, got, want algorithms.Output) {
+	t.Helper()
+	assertBitEqualF64(t, label, got.Ranks, want.Ranks)
+	got.Ranks, want.Ranks = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: distributed output diverges from local", label)
+	}
+}
+
+// TestDistributedEquivalence is the core contract: every algorithm in the
+// wire table, over both graph families, several partition counts and
+// round caps, produces bit-identical values AND identical engine
+// statistics whether the supersteps run in-process or across workers on
+// loopback sockets.
 func TestDistributedEquivalence(t *testing.T) {
 	ctx := context.Background()
 	graphs := map[string]*graph.Graph{
@@ -111,45 +135,55 @@ func TestDistributedEquivalence(t *testing.T) {
 		for gname, g := range graphs {
 			for _, parts := range []int{1, 4, 7} {
 				pg := mustPartition(t, g, strat, parts)
-
-				// pagerank
-				wantPR, wantStats, err := algorithms.PageRank(ctx, pg, 5, algorithms.DefaultResetProb)
-				if err != nil {
-					t.Fatal(err)
+				for _, name := range wireNames() {
+					alg, err := algorithms.Lookup(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, iters := range []int{0, 5, 20} {
+						p, err := alg.Params(g, iters)
+						if err != nil {
+							continue // e.g. pagerank needs a positive round count
+						}
+						label := fmt.Sprintf("%s/%s/W=%d/parts=%d/iters=%d", name, gname, W, parts, iters)
+						want, wantStats, err := alg.Run(ctx, pg, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, gotStats, err := Run(ctx, pool, pg, name, p)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						assertOutputEqual(t, label, got, want)
+						assertStatsEqual(t, label, gotStats, wantStats)
+					}
 				}
-				gotPR, gotStats, err := PageRank(ctx, pool, pg, 5, algorithms.DefaultResetProb)
-				if err != nil {
-					t.Fatalf("dist pagerank (%s, W=%d, parts=%d): %v", gname, W, parts, err)
-				}
-				assertBitEqualF64(t, "pagerank/"+gname, gotPR, wantPR)
-				assertStatsEqual(t, "pagerank/"+gname, gotStats, wantStats)
-
-				// cc
-				wantCC, wantStats2, err := algorithms.ConnectedComponents(ctx, pg, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotCC, gotStats2, err := ConnectedComponents(ctx, pool, pg, 0)
-				if err != nil {
-					t.Fatalf("dist cc (%s, W=%d, parts=%d): %v", gname, W, parts, err)
-				}
-				if !reflect.DeepEqual(gotCC, wantCC) {
-					t.Fatalf("cc/%s: labels diverge", gname)
-				}
-				assertStatsEqual(t, "cc/"+gname, gotStats2, wantStats2)
-
-				// dynamicpr
-				wantDPR, wantStats3, err := algorithms.DynamicPageRank(ctx, pg, 1e-3, algorithms.DefaultResetProb, 20)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotDPR, gotStats3, err := DynamicPageRank(ctx, pool, pg, 1e-3, algorithms.DefaultResetProb, 20)
-				if err != nil {
-					t.Fatalf("dist dynamicpr (%s, W=%d, parts=%d): %v", gname, W, parts, err)
-				}
-				assertBitEqualF64(t, "dynamicpr/"+gname, gotDPR, wantDPR)
-				assertStatsEqual(t, "dynamicpr/"+gname, gotStats3, wantStats3)
 			}
+		}
+	}
+}
+
+// TestWireTableNamesRegistry keeps the wire table a subset of the
+// algorithm registry, so a distributed binding cannot outlive or misspell
+// the algorithm it serves.
+func TestWireTableNamesRegistry(t *testing.T) {
+	if len(wireAlgs) == 0 {
+		t.Fatal("wire table is empty")
+	}
+	for _, name := range wireNames() {
+		if _, err := algorithms.Lookup(name); err != nil {
+			t.Errorf("wire table entry %q: %v", name, err)
+		}
+		if !Distributable(name) {
+			t.Errorf("Distributable(%q) = false for a wire table entry", name)
+		}
+	}
+	for _, name := range algorithms.Names() {
+		if _, bound := wireAlgs[name]; bound {
+			continue
+		}
+		if _, _, err := Run(context.Background(), NewPool(nil), nil, name, algorithms.Params{}); err == nil {
+			t.Errorf("local-only algorithm %q dispatched distributed", name)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -93,5 +95,37 @@ func TestOutOfSequenceStepRejected(t *testing.T) {
 	}
 	if _, err := pool.tr.Step(ctx, srv.URL, "replay-test", frame); err == nil {
 		t.Fatal("replayed superstep frame was accepted")
+	}
+}
+
+// TestRunStartRejectsBadSpec: a RunStart naming an algorithm outside the
+// wire table, or parameters its program constructor rejects, is a 400 —
+// the worker never starts a run the coordinator could not have sent.
+func TestRunStartRejectsBadSpec(t *testing.T) {
+	pool, workers := startCluster(t, 1)
+	pg := mustPartition(t, hubAndChain(6, 8), partition.RandomVertexCut(), 4)
+	if _, _, err := PageRank(context.Background(), pool, pg, 2, algorithms.DefaultResetProb); err != nil {
+		t.Fatal(err)
+	}
+	workers[0].mu.Lock()
+	shard := workers[0].order[0]
+	workers[0].mu.Unlock()
+	for _, spec := range []RunSpec{
+		{Run: "bad-1", Shard: shard, Algorithm: "triangles"},
+		{Run: "bad-2", Shard: shard, Algorithm: "pagerank", Iters: 0, ResetProb: algorithms.DefaultResetProb},
+		{Run: "bad-3", Shard: shard, Algorithm: "dynamicpr", Iters: 5, ResetProb: algorithms.DefaultResetProb},
+	} {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(pool.urls[0]+"/dist/v1/runs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("RunStart %+v: status %d, want 400", spec, resp.StatusCode)
+		}
 	}
 }

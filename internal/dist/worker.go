@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync"
 
-	"cutfit/internal/algorithms"
 	"cutfit/internal/graph"
 	"cutfit/internal/pregel"
 	"cutfit/internal/snap"
@@ -171,23 +170,15 @@ func newShardRunT[V, M any](prog pregel.Program[V, M], ws *workerShard, vc Codec
 	return &shardRunT[V, M]{sc: sc, vc: vc, mc: mc}, nil
 }
 
-// newShardRun instantiates the worker-side program named by the run spec —
-// the same constructors the local path uses, fed by the shard's shipped
-// degree table, so SendMsg/MergeMsg/VProg are the identical float
-// operations in the identical order.
+// newShardRun instantiates the worker-side program named by the run spec
+// from the same wire table the coordinator dispatches through, fed by the
+// shard's shipped degree table.
 func newShardRun(spec RunSpec, ws *workerShard) (shardRun, error) {
-	switch spec.Algorithm {
-	case "pagerank":
-		prog := algorithms.PageRankProgram(spec.Iters, spec.ResetProb, ws.degOf)
-		return newShardRunT(prog, ws, f64Codec{}, f64Codec{})
-	case "cc":
-		prog := algorithms.ConnectedComponentsProgram(spec.Iters)
-		return newShardRunT(prog, ws, vidCodec{}, vidCodec{})
-	case "dynamicpr":
-		prog := algorithms.DynamicPageRankProgram(spec.Tol, spec.ResetProb, spec.Iters, ws.degOf)
-		return newShardRunT(prog, ws, prStateCodec{}, f64Codec{})
+	w, err := lookupWire(spec.Algorithm)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("dist: unknown algorithm %q", spec.Algorithm)
+	return w.start(spec, ws)
 }
 
 // workerRun is one live run's compute state plus its superstep sequencer.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -47,54 +48,42 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	check := func(seed uint64) bool {
-		g := randomGraph(seed, 40, 150)
-		var buf bytes.Buffer
-		if err := g.WriteBinary(&buf); err != nil {
-			return false
-		}
-		back, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		return sameEdges(g, back)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("NOPE....")); err == nil {
-		t.Fatal("expected magic error")
-	}
-}
-
-func TestBinaryTruncated(t *testing.T) {
-	g := FromEdges([]Edge{{0, 1}, {1, 2}})
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, err := ReadBinary(bytes.NewReader(raw[:len(raw)-1])); err == nil {
-		t.Fatal("expected truncation error")
-	}
-}
-
-func TestBinaryEmptyGraph(t *testing.T) {
-	g := New(0)
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumEdges() != 0 {
-		t.Fatalf("edges = %d, want 0", back.NumEdges())
+// TestEdgeCodec covers the EncodeEdges/DecodeEdges payload directly: random
+// round trips, the empty list, and truncation at every byte.
+func TestEdgeCodec(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"round_trip", func(t *testing.T) {
+			check := func(seed uint64) bool {
+				edges := randomGraph(seed, 40, 150).Edges()
+				back, err := DecodeEdges(EncodeEdges(nil, edges))
+				return err == nil && slices.Equal(back, edges)
+			}
+			if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"empty_graph", func(t *testing.T) {
+			back, err := DecodeEdges(EncodeEdges(nil, New(0).Edges()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(back) != 0 {
+				t.Fatalf("edges = %d, want 0", len(back))
+			}
+		}},
+		{"truncated", func(t *testing.T) {
+			raw := EncodeEdges(nil, []Edge{{0, 1}, {1, 2}})
+			for n := 0; n < len(raw); n++ {
+				if _, err := DecodeEdges(raw[:n]); err == nil {
+					t.Fatalf("payload truncated to %d of %d bytes decoded without error", n, len(raw))
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, tc.run)
 	}
 }
 

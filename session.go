@@ -84,9 +84,11 @@ func NewWorkerPool(urls []string) *WorkerPool { return dist.NewPool(urls) }
 type WorkerStatus = dist.WorkerStatus
 
 // AttachWorkers attaches a distributed worker pool: subsequent Run calls
-// for pagerank, dynamicpr and cc dispatch supersteps across the pool's
-// workers, falling back to an in-process run (with identical results) if
-// any worker fails mid-run. Attach before serving; a nil pool detaches.
+// for every algorithm internal/dist runs (pagerank, dynamicpr and cc)
+// dispatch supersteps across the pool's workers, falling back to an
+// in-process run (with identical results) if any worker fails mid-run.
+// Other algorithms run in-process. Attach before serving; a nil pool
+// detaches.
 func (se *Session) AttachWorkers(p *WorkerPool) { se.pool = p }
 
 // Workers returns the attached worker pool, or nil when runs are local.
@@ -354,96 +356,44 @@ func RestoreSession(r io.Reader, opts SessionOptions) (*Session, map[string]*Gra
 	return se, named, nil
 }
 
-// topRankCount is how many top-ranked vertices a pagerank RunReport
-// carries.
-const topRankCount = 5
-
-// dynamicPRTol is the per-vertex convergence tolerance Run uses for the
-// "dynamicpr" algorithm (GraphX's runUntilConvergence flavor).
-const dynamicPRTol = 1e-3
-
-// Run executes the named algorithm ("pagerank", "dynamicpr", "cc",
-// "triangles", "sssp") on the session's cached topology of (g, s,
-// numParts) and returns the shared run encoding: superstep/traffic counts,
-// a simulated cluster time, and the algorithm's headline result. iters
-// caps pagerank, dynamicpr and cc rounds (dynamicpr and cc accept 0 = run
-// to convergence); triangles and sssp ignore it. Safe for any number of
-// concurrent callers.
+// Run executes the named algorithm — any algorithms.Names() entry:
+// "pagerank", "dynamicpr", "cc", "triangles", "sssp" — on the session's
+// cached topology of (g, s, numParts) and returns the shared run encoding:
+// superstep/traffic counts, a simulated cluster time, and the algorithm's
+// headline result. iters caps pagerank, dynamicpr and cc rounds (dynamicpr
+// and cc accept 0 = run to convergence); triangles and sssp ignore it. The
+// algorithm name and parameters are validated before any artifact is
+// built. Safe for any number of concurrent callers.
 func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, alg string, iters int) (*RunReport, error) {
+	a, err := algorithms.Lookup(alg)
+	if err != nil {
+		return nil, err
+	}
+	p, err := a.Params(g, iters)
+	if err != nil {
+		return nil, err
+	}
 	pg, err := se.Partition(g, s, numParts)
 	if err != nil {
 		return nil, err
 	}
+	out, stats, err := se.execute(ctx, a, pg, p)
+	if err != nil {
+		return nil, err
+	}
 	rep := &RunReport{
-		Algorithm: alg,
-		Strategy:  s.Name(),
-		Parts:     numParts,
+		Algorithm:     alg,
+		Strategy:      s.Name(),
+		Parts:         numParts,
+		Supersteps:    stats.NumSupersteps(),
+		Converged:     stats.Converged,
+		Halted:        stats.Halted,
+		BroadcastMsgs: stats.TotalBroadcastMsgs(),
+		ReduceMsgs:    stats.TotalReduceMsgs(),
+		ActiveEdges:   stats.TotalActiveEdges(),
+		Frontier:      frontierTrace(stats),
+		RunSummary:    a.Summarise(g, p, out),
 	}
-	var stats *RunStats
-	switch alg {
-	case "pagerank":
-		ranks, st, err := se.runPageRank(ctx, pg, iters)
-		if err != nil {
-			return nil, err
-		}
-		stats = st
-		rep.TopRanks = topRanks(g, ranks, topRankCount)
-	case "dynamicpr":
-		ranks, st, err := se.runDynamicPR(ctx, pg, iters)
-		if err != nil {
-			return nil, err
-		}
-		stats = st
-		rep.TopRanks = topRanks(g, ranks, topRankCount)
-	case "cc":
-		labels, st, err := se.runCC(ctx, pg, iters)
-		if err != nil {
-			return nil, err
-		}
-		stats = st
-		seen := make(map[VertexID]struct{}, 16)
-		for _, l := range labels {
-			seen[l] = struct{}{}
-		}
-		rep.Components = len(seen)
-	case "triangles":
-		counts, st, err := algorithms.TriangleCount(ctx, pg)
-		if err != nil {
-			return nil, err
-		}
-		stats = st
-		var total int64
-		for _, c := range counts {
-			total += c
-		}
-		rep.Triangles = total / 3
-	case "sssp":
-		verts := g.Vertices()
-		if len(verts) == 0 {
-			return nil, fmt.Errorf("cutfit: sssp needs a non-empty graph")
-		}
-		landmark := verts[0]
-		dists, st, err := algorithms.ShortestPaths(ctx, pg, []VertexID{landmark}, 0)
-		if err != nil {
-			return nil, err
-		}
-		stats = st
-		for _, d := range dists {
-			if len(d) > 0 {
-				rep.Reached++
-			}
-		}
-		rep.Landmark = &landmark
-	default:
-		return nil, fmt.Errorf("cutfit: unknown algorithm %q (want pagerank, dynamicpr, cc, triangles or sssp)", alg)
-	}
-	rep.Supersteps = stats.NumSupersteps()
-	rep.Converged = stats.Converged
-	rep.Halted = stats.Halted
-	rep.BroadcastMsgs = stats.TotalBroadcastMsgs()
-	rep.ReduceMsgs = stats.TotalReduceMsgs()
-	rep.ActiveEdges = stats.TotalActiveEdges()
-	rep.Frontier = frontierTrace(stats)
 
 	var cfg ClusterConfig
 	if se.cluster != nil {
@@ -460,76 +410,22 @@ func (se *Session) Run(ctx context.Context, g *Graph, s Strategy, numParts int, 
 	return rep, nil
 }
 
-// distFallback decides whether a failed distributed run should fall back
-// to local execution (yes, unless the caller's context is the reason it
-// failed) and logs the degradation. A fallback is safe by construction:
-// the local engine produces bit-identical results on the same topology.
-func distFallback(ctx context.Context, alg string, err error) bool {
-	if ctx.Err() != nil {
-		return false
+// execute runs a on the attached worker pool when internal/dist can run it
+// there, and on the local engine otherwise. A failed distributed run falls
+// back to a local one (and logs the degradation) unless the caller's
+// context is the reason it failed; the fallback is safe by construction,
+// since the local engine produces bit-identical results on the same
+// topology.
+func (se *Session) execute(ctx context.Context, a *algorithms.Algorithm, pg *PartitionedGraph, p algorithms.Params) (algorithms.Output, *RunStats, error) {
+	if se.pool != nil && dist.Distributable(a.Name) {
+		out, stats, err := dist.Run(ctx, se.pool, pg, a.Name, p)
+		if err == nil || ctx.Err() != nil {
+			return out, stats, err
+		}
+		dist.NoteFallback()
+		slog.Error("cutfit: distributed "+a.Name+" failed; falling back to local run", "err", err)
 	}
-	dist.NoteFallback()
-	slog.Error("cutfit: distributed "+alg+" failed; falling back to local run", "err", err)
-	return true
-}
-
-func (se *Session) runPageRank(ctx context.Context, pg *pregel.PartitionedGraph, iters int) ([]float64, *RunStats, error) {
-	if se.pool != nil {
-		ranks, st, err := dist.PageRank(ctx, se.pool, pg, iters, algorithms.DefaultResetProb)
-		if err == nil {
-			return ranks, st, nil
-		}
-		if !distFallback(ctx, "pagerank", err) {
-			return nil, nil, err
-		}
-	}
-	return algorithms.PageRank(ctx, pg, iters, algorithms.DefaultResetProb)
-}
-
-func (se *Session) runDynamicPR(ctx context.Context, pg *pregel.PartitionedGraph, iters int) ([]float64, *RunStats, error) {
-	if se.pool != nil {
-		ranks, st, err := dist.DynamicPageRank(ctx, se.pool, pg, dynamicPRTol, algorithms.DefaultResetProb, iters)
-		if err == nil {
-			return ranks, st, nil
-		}
-		if !distFallback(ctx, "dynamicpr", err) {
-			return nil, nil, err
-		}
-	}
-	return algorithms.DynamicPageRank(ctx, pg, dynamicPRTol, algorithms.DefaultResetProb, iters)
-}
-
-func (se *Session) runCC(ctx context.Context, pg *pregel.PartitionedGraph, iters int) ([]VertexID, *RunStats, error) {
-	if se.pool != nil {
-		labels, st, err := dist.ConnectedComponents(ctx, se.pool, pg, iters)
-		if err == nil {
-			return labels, st, nil
-		}
-		if !distFallback(ctx, "cc", err) {
-			return nil, nil, err
-		}
-	}
-	return algorithms.ConnectedComponents(ctx, pg, iters)
-}
-
-// topRanks extracts the k highest-ranked vertices, ties broken by vertex
-// ID for determinism.
-func topRanks(g *Graph, ranks []float64, k int) []VertexRank {
-	verts := g.Vertices()
-	all := make([]VertexRank, len(ranks))
-	for i, r := range ranks {
-		all[i] = VertexRank{Vertex: verts[i], Rank: r}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Rank != all[j].Rank {
-			return all[i].Rank > all[j].Rank
-		}
-		return all[i].Vertex < all[j].Vertex
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k:k]
+	return a.Run(ctx, pg, p)
 }
 
 // The report types below are the one JSON encoding shared by the cutfit
@@ -619,10 +515,11 @@ func RankFromSelection(sel *Selection, metricName string) ([]StrategyRank, error
 }
 
 // VertexRank pairs a vertex with its PageRank score.
-type VertexRank struct {
-	Vertex VertexID `json:"vertex"`
-	Rank   float64  `json:"rank"`
-}
+type VertexRank = algorithms.VertexRank
+
+// RunSummary is a RunReport's headline result, filled by the algorithm's
+// registry summariser; only the algorithm's fields are set.
+type RunSummary = algorithms.Summary
 
 // FrontierStep is one superstep's frontier accounting in a RunReport: how
 // many vertices were active, how many edges the compute phase actually
@@ -657,7 +554,7 @@ func frontierTrace(stats *RunStats) []FrontierStep {
 
 // RunReport is the JSON encoding of one algorithm execution: engine
 // accounting, the simulated cluster time, and the algorithm's headline
-// result (only the matching result field is populated).
+// result (only the matching result fields are populated).
 type RunReport struct {
 	Graph         string `json:"graph,omitempty"`
 	Algorithm     string `json:"algorithm"`
@@ -674,11 +571,7 @@ type RunReport struct {
 	Frontier    []FrontierStep `json:"frontier,omitempty"`
 	SimSecs     float64        `json:"simSecs"`
 
-	TopRanks   []VertexRank `json:"topRanks,omitempty"`
-	Components int          `json:"components,omitempty"`
-	Triangles  int64        `json:"triangles,omitempty"`
-	// Landmark is a pointer: the sssp source is usually vertex 0, which
-	// omitempty on a plain VertexID would silently drop.
-	Landmark *VertexID `json:"landmark,omitempty"`
-	Reached  int       `json:"reached,omitempty"`
+	// The algorithm's headline result (topRanks, components, triangles,
+	// landmark, reached), encoded inline.
+	RunSummary
 }

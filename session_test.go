@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/algorithms"
 )
 
 // sessionTestGraph builds a deterministic medium graph for the concurrency
@@ -289,5 +290,40 @@ func TestOneShotWrappersStayOneShot(t *testing.T) {
 	}
 	if got := cs.calls.Load(); got != 2 {
 		t.Fatalf("one-shot Measure called Partition %d times across two calls, want 2", got)
+	}
+}
+
+// TestSessionRunValidatesBeforeBuilding: a run the registry rejects — an
+// unknown algorithm, a bad round cap, sssp on an empty graph — errors on a
+// fresh session without assigning, building or caching anything, and the
+// unknown-algorithm error lists every registered name.
+func TestSessionRunValidatesBeforeBuilding(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		g     *cutfit.Graph
+		alg   string
+		iters int
+	}{
+		{sessionTestGraph(t), "bogus", 10},
+		{sessionTestGraph(t), "pagerank", 0},
+		{sessionTestGraph(t), "cc", -1},
+		{cutfit.NewGraph(0), "sssp", 10},
+	} {
+		se := cutfit.NewSession(cutfit.SessionOptions{})
+		_, err := se.Run(ctx, tc.g, cutfit.EdgePartition2D(), 4, tc.alg, tc.iters)
+		if err == nil {
+			t.Fatalf("Run(%q, %d) succeeded", tc.alg, tc.iters)
+		}
+		if st := se.CacheStats(); st.Misses != 0 || st.Entries != 0 {
+			t.Fatalf("Run(%q, %d) touched the cache before failing: %d misses, %d entries", tc.alg, tc.iters, st.Misses, st.Entries)
+		}
+		if tc.alg != "bogus" {
+			continue
+		}
+		for _, name := range algorithms.Names() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("unknown-algorithm error %q does not list %q", err, name)
+			}
+		}
 	}
 }
