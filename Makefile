@@ -45,7 +45,8 @@ lint: vet
 # (store single-flight, Session mixed workload, cutfitd handlers), the
 # delta-append path (root equivalence suite, graph generations, store
 # chain, topology patching), the persistence layer (snap codecs, disk
-# tier spill/restore, warm-start handlers) and the distributed runtime
+# tier spill, snapshot restore with topology rebuild, warm-start
+# handlers) and the distributed runtime
 # (coordinator/worker exchange over loopback sockets, equivalence and
 # failure suites).
 race:
@@ -139,7 +140,9 @@ bench-compare:
 # against a full rebuild), the dense/sparse/auto engine scan equivalence
 # (including density-threshold crossovers mid-run), and the snapshot
 # decoders (container parsing + the assignment codec, seeded from the
-# golden corpus). FUZZTIME is per target; the nightly workflow raises it.
+# golden corpus) and the store restore path (bundles whose topology
+# records are rebuilt from their tuple's assignment). FUZZTIME is per
+# target; the nightly workflow raises it.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph/
@@ -148,6 +151,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFrontierScanEquivalence -fuzztime=$(FUZZTIME) ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAssignment -fuzztime=$(FUZZTIME) ./internal/snap/
+	$(GO) test -run='^$$' -fuzz=FuzzStoreRestore -fuzztime=$(FUZZTIME) ./internal/store/
 
 # Seconds-long fuzz smoke for make check: long enough to catch parser,
 # delta-patch and snapshot-decoder regressions on the seed corpus, short
@@ -159,11 +163,17 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrontierScanEquivalence -fuzztime=5s ./internal/pregel/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=5s ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAssignment -fuzztime=5s ./internal/snap/
+	$(GO) test -run='^$$' -fuzz=FuzzStoreRestore -fuzztime=5s ./internal/store/
 
-# Golden-corpus compatibility gate: the committed format-v1 snapshots must
-# re-encode byte-identically and decode to bit-identical artifacts. Run by
-# the CI test job as its own step so a format break is named in the UI.
+# Golden-corpus compatibility gate over internal/snap/testdata/golden:
+# every golden this build still encodes must re-encode byte-identically,
+# and every golden must decode to bit-identical artifacts. The legacy
+# store bundle (store.snap, whose topology record embeds a container
+# nothing encodes any more) is read-only: internal/store restores it to
+# the golden artifacts, and checks that Persist writes persist.snap byte
+# for byte. Run by the CI test job as its own step so a format break is
+# named in the UI.
 compat:
-	$(GO) test -run='TestGolden' -count=1 ./internal/snap/
+	$(GO) test -run='TestGolden' -count=1 ./internal/snap/ ./internal/store/
 
 check: build test vet race fuzz-smoke

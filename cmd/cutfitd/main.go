@@ -10,13 +10,13 @@
 //
 //	cutfitd [-addr :8080] [-cache-mb 512] [-parallelism N] [-preload youtube,roadnet-ca] [-block-graph social=/data/social.cfb] [-data-dir /var/lib/cutfitd]
 //
-// With -data-dir the daemon is durable: evicted cache entries spill to
-// <dir>/cache/ (and satisfy later misses from disk), POST /v1/snapshot and
-// graceful shutdown (SIGINT/SIGTERM) write <dir>/cutfitd.snap — a
-// versioned, CRC-checked snapshot of the graph registry and every cached
-// assignment, metric set and built topology — and the next boot
-// warm-starts from it, so a restarted daemon serves /v1/run without
-// re-partitioning anything.
+// With -data-dir the daemon is durable: evicted assignments and metric
+// sets spill to <dir>/cache/ (and satisfy later misses from disk),
+// POST /v1/snapshot and graceful shutdown (SIGINT/SIGTERM) write
+// <dir>/cutfitd.snap — a versioned, CRC-checked snapshot of the graph
+// registry and every cached artifact, topologies by key only — and the
+// next boot warm-starts from it, rebuilding topologies from their
+// assignments, so /v1/run never re-partitions after a restart.
 //
 // -block-graph registers graphs from on-disk block-graph files (written by
 // cutfit.SaveBlockGraph): name=path pairs, comma-separated, repeatable.

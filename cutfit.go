@@ -150,19 +150,20 @@
 // # Persistence
 //
 // A Session's amortized measurement cost survives restarts. Snapshot
-// persists the whole artifact cache — graphs, assignments, metric sets and
-// built engine topologies — as one versioned, CRC-checked container, and
-// RestoreSession reads it back so the first requests of the new process
-// are cache hits (restoring a built topology is one read + validation,
-// never a re-partition):
+// persists the whole artifact cache — graphs, assignments and metric sets,
+// plus the key of every built engine topology — as one versioned,
+// CRC-checked container, and RestoreSession reads it back so the first
+// requests of the new process are cache hits (each built topology is
+// rebuilt from its restored assignment, never re-partitioned):
 //
 //	_ = se.SnapshotNamed(w, map[string]*cutfit.Graph{"social": g})
 //	se2, named, _ := cutfit.RestoreSession(r, cutfit.SessionOptions{})
 //	pg, _ := se2.Partition(named["social"], cutfit.EdgePartition2D(), 128) // hit
 //
 // SessionOptions.DiskDir additionally gives the cache a durable disk tier:
-// evicted artifacts spill to content-addressed snapshot files, misses check
-// disk before recomputing, and the files outlive the process. The cmd/cutfitd
+// evicted assignments and metric sets spill to content-addressed snapshot
+// files, misses check disk before recomputing (a topology miss rebuilds
+// from the assignment), and the files outlive the process. The cmd/cutfitd
 // daemon composes both via -data-dir (warm start on boot, POST /v1/snapshot,
 // persist on graceful shutdown); see ExampleSession_Snapshot.
 //

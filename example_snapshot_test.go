@@ -9,8 +9,9 @@ import (
 
 // ExampleSession_Snapshot persists a warmed session — measured metrics and
 // a built engine topology — and restores it into a "new process": the
-// restored session answers the same requests as pure cache hits, so a
-// restart costs one read instead of a re-partition.
+// restored session answers the same requests as pure cache hits (the
+// topology is rebuilt from its restored assignment during the restore),
+// so a restart never re-partitions.
 func ExampleSession_Snapshot() {
 	g := cutfit.FromEdges([]cutfit.Edge{
 		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0},

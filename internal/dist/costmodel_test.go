@@ -16,8 +16,9 @@ import (
 // model simulates the paper's multi-node clusters, not two processes on
 // one machine, so the test asserts only sanity (both times are positive
 // and finite, the model accepted the distributed stats verbatim) and logs
-// the predicted-vs-measured ratio — the nightly workflow archives that
-// line as the calibration artifact.
+// the predicted-vs-measured ratio, which the nightly workflow archives.
+// The model's constants are not fitted to measured time, so no band is
+// asserted on the ratio.
 func TestClusterModelVsMeasured(t *testing.T) {
 	ctx := context.Background()
 	pool, _ := startCluster(t, 2)

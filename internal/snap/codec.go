@@ -9,7 +9,6 @@ import (
 	"cutfit/internal/graph"
 	"cutfit/internal/metrics"
 	"cutfit/internal/partition"
-	"cutfit/internal/pregel"
 )
 
 // Section ids. Ids are per-kind; the meta section is always 1.
@@ -31,13 +30,6 @@ const (
 	secMetricsVerts = 3
 	// Optional: weighted counterparts, written only for weighted graphs.
 	secMetricsWeights = 4
-
-	secTopoAssign       = 2
-	secTopoPartStart    = 3
-	secTopoEdgeSrc      = 4
-	secTopoEdgeDst      = 5
-	secTopoLocalOffsets = 6
-	secTopoLocalVerts   = 7
 
 	secBlockVerts = 2
 	secBlockIndex = 3
@@ -726,125 +718,4 @@ func decodeMetricsContainer(c *Container, g *graph.Graph, wantStrategyKey string
 	}
 	res.Finalize(int(numVerts))
 	return res, nil
-}
-
-// ---- topology codec --------------------------------------------------------
-
-// EncodeTopology encodes a built PartitionedGraph as a KindTopology
-// container: the dense tables of pregel.RawTables written verbatim as
-// little-endian arrays, plus the graph identity. Two things are
-// deliberately not persisted: build options (parallelism, buffer reuse —
-// execution policy, the restoring side applies its own) and the mirror
-// routing CSR, which is a pure function of the mirror tables; deriving it
-// on restore (pregel's buildRouting, O(mirrors), no sort) is cheaper than
-// reading, CRC-checking and validating a persisted copy, and removes a
-// whole class of forgeable tables. strategyKey records the producing
-// strategy's cache identity so decode can reject a relabeled container.
-func EncodeTopology(pg *pregel.PartitionedGraph, strategyKey string) []byte {
-	rt := pg.RawTables()
-	var meta []byte
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(rt.NumParts))
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(len(rt.Assign)))
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(pg.G.NumVertices()))
-	meta = binary.LittleEndian.AppendUint64(meta, pg.G.Fingerprint())
-	meta = appendStr(meta, strategyKey)
-
-	b := NewBuilder(KindTopology)
-	b.Section(secMeta, meta)
-	b.Section(secTopoAssign, encodePIDs(rt.Assign, rt.NumParts))
-	b.Section(secTopoPartStart, encodeI64s(rt.PartStart))
-	b.Section(secTopoEdgeSrc, encodeI32s(rt.EdgeSrc))
-	b.Section(secTopoEdgeDst, encodeI32s(rt.EdgeDst))
-	b.Section(secTopoLocalOffsets, encodeI64s(rt.LocalVertsOffsets))
-	b.Section(secTopoLocalVerts, encodeI32s(rt.LocalVerts))
-	return b.Bytes()
-}
-
-// DecodeTopology decodes a KindTopology container against g — one big read
-// into the raw tables, then pregel.FromRawTables' full invariant validation
-// assembles the engine-ready topology without re-sorting anything. The
-// recorded strategy key must match wantStrategyKey ("" skips). opts is the
-// restoring side's build/execution policy.
-func DecodeTopology(data []byte, g *graph.Graph, wantStrategyKey string, opts pregel.BuildOptions) (*pregel.PartitionedGraph, error) {
-	c, err := Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return decodeTopologyContainer(c, g, wantStrategyKey, opts)
-}
-
-func decodeTopologyContainer(c *Container, g *graph.Graph, wantStrategyKey string, opts pregel.BuildOptions) (*pregel.PartitionedGraph, error) {
-	if err := expectKind(c, KindTopology); err != nil {
-		return nil, err
-	}
-	msec, err := section(c, secMeta, "meta")
-	if err != nil {
-		return nil, err
-	}
-	mr := &fieldReader{b: msec}
-	numParts := int(mr.u32())
-	numEdges := mr.u64()
-	numVerts := mr.u64()
-	fp := mr.u64()
-	strategyKey := mr.str()
-	if err := mr.finish(); err != nil {
-		return nil, err
-	}
-	if err := checkGraphIdentity(g, numEdges, fp, "topology"); err != nil {
-		return nil, err
-	}
-	if err := checkStrategyKey(strategyKey, wantStrategyKey, "topology"); err != nil {
-		return nil, err
-	}
-	if numVerts != uint64(g.NumVertices()) {
-		return nil, fmt.Errorf("snap: topology recorded for %d vertices, graph has %d", numVerts, g.NumVertices())
-	}
-
-	rt := pregel.RawTables{NumParts: numParts}
-	var serr error
-	i32 := func(id uint32, name string) []int32 {
-		if serr != nil {
-			return nil
-		}
-		var p []byte
-		if p, serr = section(c, id, name); serr != nil {
-			return nil
-		}
-		var out []int32
-		out, serr = decodeI32s(p, name)
-		return out
-	}
-	i64 := func(id uint32, name string) []int64 {
-		if serr != nil {
-			return nil
-		}
-		var p []byte
-		if p, serr = section(c, id, name); serr != nil {
-			return nil
-		}
-		var out []int64
-		out, serr = decodeI64s(p, name)
-		return out
-	}
-	psec, err := section(c, secTopoAssign, "assignment")
-	if err != nil {
-		return nil, err
-	}
-	if numParts <= 0 || numParts > 1<<20 {
-		return nil, fmt.Errorf("snap: topology numParts %d out of range", numParts)
-	}
-	if rt.Assign, err = decodePIDsValidated(psec, numParts, nil); err != nil {
-		return nil, err
-	}
-	rt.PartStart = i64(secTopoPartStart, "PartStart")
-	rt.EdgeSrc = i32(secTopoEdgeSrc, "EdgeSrc")
-	rt.EdgeDst = i32(secTopoEdgeDst, "EdgeDst")
-	rt.LocalVertsOffsets = i64(secTopoLocalOffsets, "LocalVertsOffsets")
-	rt.LocalVerts = i32(secTopoLocalVerts, "LocalVerts")
-	if serr != nil {
-		return nil, serr
-	}
-	// Routing tables are left nil: FromRawTables derives the routing CSR
-	// from the validated mirror tables.
-	return pregel.FromRawTables(g, rt, opts)
 }

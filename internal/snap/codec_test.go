@@ -8,7 +8,6 @@ import (
 	"cutfit/internal/graph"
 	"cutfit/internal/metrics"
 	"cutfit/internal/partition"
-	"cutfit/internal/pregel"
 )
 
 // testGraph returns a small fixed graph exercising duplicates, self loops
@@ -115,40 +114,6 @@ func TestMetricsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTopologyRoundTrip(t *testing.T) {
-	g := testGraph(t)
-	for _, s := range []partition.Strategy{partition.EdgePartition2D(), partition.Greedy()} {
-		a := testAssignment(t, g, s, 4)
-		pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := DecodeTopology(EncodeTopology(pg, s.Name()), g, s.Name(), pregel.BuildOptions{Parallelism: 2, ReuseBuffers: true})
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		if back.NumParts != pg.NumParts {
-			t.Fatalf("%s: NumParts %d != %d", s.Name(), back.NumParts, pg.NumParts)
-		}
-		if !reflect.DeepEqual(back.RawTables(), pg.RawTables()) {
-			t.Fatalf("%s: raw tables differ after round trip", s.Name())
-		}
-		if d := metricsDiffStr(back.Metrics(), pg.Metrics()); d != "" {
-			t.Fatalf("%s: topology metrics differ after round trip: %s", s.Name(), d)
-		}
-		if back.Parallelism != 2 || !back.ReuseBuffers {
-			t.Fatalf("%s: restore must apply the restoring side's build options", s.Name())
-		}
-	}
-}
-
-func metricsDiffStr(a, b *metrics.Result) string {
-	if !reflect.DeepEqual(a, b) {
-		return "metric sets differ"
-	}
-	return ""
-}
-
 // TestDecodeRejectsRelabeledArtifacts: every artifact records its strategy
 // cache identity, and decoding for a different tuple must fail — a CRC-valid
 // container relabeled in a store bundle or under another disk-tier file
@@ -166,13 +131,6 @@ func TestDecodeRejectsRelabeledArtifacts(t *testing.T) {
 	if _, err := DecodeMetrics(EncodeMetrics(m, g, "2D"), g, "SC"); err == nil {
 		t.Fatal("2D metrics decoded for the SC key")
 	}
-	pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeTopology(EncodeTopology(pg, "2D"), g, "Hybrid:8", pregel.BuildOptions{}); err == nil {
-		t.Fatal("2D topology decoded for the Hybrid:8 key")
-	}
 }
 
 func TestDecodeRejectsKindMismatch(t *testing.T) {
@@ -186,9 +144,6 @@ func TestDecodeRejectsKindMismatch(t *testing.T) {
 	}
 	if _, err := DecodeMetrics(EncodeGraph(g), g, ""); err == nil {
 		t.Fatal("DecodeMetrics must reject a graph container")
-	}
-	if _, err := DecodeTopology(EncodeGraph(g), g, "", pregel.BuildOptions{}); err == nil {
-		t.Fatal("DecodeTopology must reject a graph container")
 	}
 }
 
@@ -260,8 +215,8 @@ func weightedShrunkGraph(t testing.TB) *graph.Graph {
 // TestWeightedShrunkRoundTrip: a weighted generation carrying tombstones
 // round-trips through every artifact kind with zero recomputation — the
 // restored graph keeps its weights and tombstone set, and the dependent
-// assignment, metrics and topology artifacts decode against the restored
-// graph with their recorded numbers intact.
+// assignment and metrics artifacts decode against the restored graph with
+// their recorded numbers intact.
 func TestWeightedShrunkRoundTrip(t *testing.T) {
 	g := weightedShrunkGraph(t)
 	back, err := DecodeGraph(EncodeGraph(g))
@@ -304,21 +259,6 @@ func TestWeightedShrunkRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(bm, m) {
 			t.Fatalf("%s: metrics differ after round trip:\n got %+v\nwant %+v", s.Name(), bm, m)
-		}
-
-		pg, err := pregel.NewPartitionedGraphFromAssignment(a, pregel.BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bpg, err := DecodeTopology(EncodeTopology(pg, s.Name()), back, s.Name(), pregel.BuildOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		if !reflect.DeepEqual(bpg.RawTables(), pg.RawTables()) {
-			t.Fatalf("%s: raw tables differ after round trip", s.Name())
-		}
-		if !reflect.DeepEqual(bpg.Metrics(), pg.Metrics()) {
-			t.Fatalf("%s: topology metrics differ after round trip", s.Name())
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package snap is the durable artifact format of the serving stack: a
 // versioned, length-prefixed, CRC-checked binary container plus codecs for
-// every pipeline artifact — graph.Graph, partition.Assignment, the
-// pregel.PartitionedGraph topology (its dense tables written verbatim, so
-// restore is one big read + validation, never a re-sort), metrics.Result,
-// and the whole-store bundle the Session snapshot uses.
+// graph.Graph (dense and block tier), partition.Assignment, metrics.Result,
+// worker shards and the whole-store bundle the Session snapshot uses.
+// Built topologies have no codec: a bundle lists them by key, and restore
+// rebuilds each from its assignment, no slower than decoding a stored copy.
 //
 // # Container layout (format version 1)
 //
@@ -23,8 +23,8 @@
 // assert byte-identical re-encoding. Every byte of a container is covered
 // by a CRC, so any single-byte corruption — header, table, or payload — is
 // rejected at Decode; decoders additionally validate all structural
-// invariants of the decoded artifact (PID ranges, CSR monotonicity, counts,
-// graph fingerprints) before returning, so corrupt or mismatched input can
+// invariants of the decoded artifact (PID ranges, counts, graph
+// fingerprints) before returning, so corrupt or mismatched input can
 // never produce a wrong-but-plausible artifact.
 //
 // # Version policy
@@ -34,6 +34,13 @@
 // committing a new golden file set under testdata/golden/ — the CI compat
 // step decodes the committed goldens of every released version, so an
 // accidental layout change fails the PR.
+//
+// A change to what a record holds, with the layout unchanged, keeps the
+// version. So far: StageTopology records used to embed a KindTopology
+// container and now carry an empty payload, which restore never reads, so
+// both forms restore (testdata/golden/store.snap is the legacy one). An
+// older build fails closed on a new bundle with a decode error. KindTopology
+// and StageTopology stay reserved and are never reused.
 package snap
 
 import (
@@ -58,7 +65,9 @@ const (
 	KindGraph Kind = 1
 	// KindAssignment is a partition.Assignment.
 	KindAssignment Kind = 2
-	// KindTopology is a built pregel.PartitionedGraph.
+	// KindTopology was a built pregel.PartitionedGraph. Topologies are no
+	// longer persisted and nothing decodes this kind; the value stays
+	// reserved so it is never reused.
 	KindTopology Kind = 3
 	// KindMetrics is a metrics.Result.
 	KindMetrics Kind = 4

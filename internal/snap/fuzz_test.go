@@ -1,9 +1,9 @@
 package snap
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
-
-	"cutfit/internal/pregel"
 )
 
 // fuzzSeeds returns the golden corpus plus structured mutations of it:
@@ -12,7 +12,7 @@ import (
 func fuzzSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	var seeds [][]byte
-	for _, name := range []string{"graph.snap", "assignment.snap", "topology.snap", "metrics.snap", "store.snap"} {
+	for _, name := range []string{"graph.snap", "assignment.snap", "metrics.snap", "store.snap", "persist.snap", "shard.snap", "shard-delta.snap", "blockgraph.snap"} {
 		data := readGolden(t, name)
 		seeds = append(seeds, data)
 		// Truncations at structural boundaries.
@@ -37,17 +37,20 @@ func fuzzSeeds(t testing.TB) [][]byte {
 // FuzzDecodeSnapshot drives the container parser and every typed decoder
 // with arbitrary bytes: nothing may panic or over-allocate, and anything
 // that decodes must be internally consistent (all decoder invariants ran).
+// The header's kind field picks the decoder, because a block-graph image
+// (a container prefix followed by its payload region) never parses as a
+// bare container.
 func FuzzDecodeSnapshot(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	g := goldenGraph()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := Decode(data)
-		if err != nil {
+		_, _ = Decode(data)
+		if len(data) < headerFixed {
 			return
 		}
-		switch c.Kind {
+		switch Kind(binary.LittleEndian.Uint32(data[12:])) {
 		case KindGraph:
 			if dg, err := DecodeGraph(data); err == nil {
 				if dg.NumEdges() < 0 || dg.NumVertices() < 0 {
@@ -70,12 +73,6 @@ func FuzzDecodeSnapshot(f *testing.F) {
 					t.Fatal("decoded assignment histogram does not sum to the edge count")
 				}
 			}
-		case KindTopology:
-			if pg, err := DecodeTopology(data, g, "", pregel.BuildOptions{}); err == nil {
-				if pg.NumParts <= 0 || len(pg.Parts) != pg.NumParts {
-					t.Fatal("decoded topology with inconsistent partition count")
-				}
-			}
 		case KindMetrics:
 			if m, err := DecodeMetrics(data, g, ""); err == nil {
 				if m.NonCut+m.Cut > int64(g.NumVertices()) {
@@ -84,6 +81,26 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 		case KindStore:
 			_, _, _ = DecodeStore(data)
+		case KindBlockGraph:
+			if bg, err := OpenBlockGraphAt(bytes.NewReader(data), int64(len(data))); err == nil {
+				if !bg.BlockBacked() {
+					t.Fatal("opened block graph is not block-backed")
+				}
+				if err := bg.Validate(); err != nil {
+					t.Fatalf("opened block graph fails Validate: %v", err)
+				}
+			}
+		case KindShard:
+			if sp, err := DecodeShard(data); err == nil {
+				if len(sp.OutDeg) != sp.NumVerts {
+					t.Fatalf("decoded shard has %d out-degrees for %d vertices", len(sp.OutDeg), sp.NumVerts)
+				}
+				for _, p := range sp.Parts {
+					if p.Index < 0 || p.Index >= sp.NumParts || len(p.EdgeSrc) != len(p.EdgeDst) {
+						t.Fatalf("decoded shard part %d is inconsistent", p.Index)
+					}
+				}
+			}
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cutfit/internal/graph"
@@ -16,9 +17,13 @@ import (
 
 // The golden corpus freezes format version 1 on disk: committed containers
 // that every future build must keep decoding to bit-identical artifacts.
-// `go test ./internal/snap -run TestGolden -update` regenerates the files —
-// only do that together with a FormatVersion bump (and keep the old
-// version's goldens decodable), per the version policy in the package doc.
+// `go test ./internal/snap -run TestGolden -update` regenerates the files
+// goldenFiles encodes — only do that together with a FormatVersion bump
+// (and keep the old version's goldens decodable), per the version policy
+// in the package doc. store.snap is not among them: it is the legacy
+// bundle whose topology record embeds a full KindTopology container, which
+// nothing encodes any more. It stays committed, read-only, so every build
+// keeps restoring it (internal/store's TestGoldenStoreRestore).
 
 var update = flag.Bool("update", false, "rewrite the golden snapshot files")
 
@@ -63,23 +68,102 @@ func goldenArtifacts(t testing.TB) (*graph.Graph, *partition.Assignment, *pregel
 	return g, a, pg, m
 }
 
-// goldenFiles encodes every golden container from first principles.
+// goldenGrowth is appended to the golden graph for the delta shard: a new
+// vertex (10) plus an edge between existing vertices, so the delta carries
+// appended, replaced and unchanged partitions.
+var goldenGrowth = []graph.Edge{{Src: 9, Dst: 10}, {Src: 10, Dst: 8}, {Src: 0, Dst: 5}}
+
+// shardPart flattens one partition into shard tables.
+func shardPart(p int, mode ShardPartMode, part *pregel.Partition) ShardPart {
+	sp := ShardPart{Index: p, Mode: mode, LocalVerts: slices.Clone(part.LocalVerts)}
+	for j := 0; j < part.NumEdges(); j++ {
+		s, d := part.EdgeAt(j)
+		sp.EdgeSrc = append(sp.EdgeSrc, s)
+		sp.EdgeDst = append(sp.EdgeDst, d)
+	}
+	return sp
+}
+
+// goldenShards cuts the shards of a one-worker cluster (the worker owns
+// every partition) the way the distributed coordinator does: a full shard of the golden topology, and a delta shard taking it
+// to the topology of the golden graph grown by goldenGrowth. A delta part
+// is unchanged when its tables are equal, appended when the old tables
+// are a prefix of the new ones, and replaced otherwise. BaseFP is any
+// nonzero id of the base shard; the coordinator uses a hash of its key.
+func goldenShards(t testing.TB, pg *pregel.PartitionedGraph) (full, delta *ShardPayload) {
+	t.Helper()
+	g := pg.G
+	ng, _ := g.Grow(goldenGrowth)
+	na, err := partition.Assign(ng, partition.EdgePartition2D(), pg.NumParts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	npg, err := pregel.NewPartitionedGraphFromAssignment(na, pregel.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full = &ShardPayload{GraphFP: g.Fingerprint(), NumParts: pg.NumParts, NumVerts: g.NumVertices(), Verts: g.Vertices(), OutDeg: g.OutDegrees()}
+	oldVerts := g.NumVertices()
+	delta = &ShardPayload{
+		GraphFP:     ng.Fingerprint(),
+		BaseFP:      g.Fingerprint(),
+		NumParts:    npg.NumParts,
+		NumVerts:    ng.NumVertices(),
+		OldNumVerts: oldVerts,
+		Verts:       ng.Vertices()[oldVerts:],
+		OutDeg:      ng.OutDegrees(),
+	}
+	for p := 0; p < pg.NumParts; p++ {
+		full.Parts = append(full.Parts, shardPart(p, ShardPartReplace, pg.Parts[p]))
+		o, n := shardPart(p, ShardPartReplace, pg.Parts[p]), shardPart(p, ShardPartReplace, npg.Parts[p])
+		nlv, ne := len(o.LocalVerts), len(o.EdgeSrc)
+		switch {
+		case reflect.DeepEqual(o, n):
+			n = ShardPart{Index: p, Mode: ShardPartUnchanged, LocalVerts: []int32{}, EdgeSrc: []int32{}, EdgeDst: []int32{}}
+		case slices.Equal(o.LocalVerts, n.LocalVerts[:nlv]) && slices.Equal(o.EdgeSrc, n.EdgeSrc[:ne]) && slices.Equal(o.EdgeDst, n.EdgeDst[:ne]):
+			n = ShardPart{Index: p, Mode: ShardPartAppend, LocalVerts: n.LocalVerts[nlv:], EdgeSrc: n.EdgeSrc[ne:], EdgeDst: n.EdgeDst[ne:]}
+		}
+		delta.Parts = append(delta.Parts, n)
+	}
+	return full, delta
+}
+
+// goldenBlockGraph is the golden graph on the block tier: one 64-edge
+// block.
+func goldenBlockGraph(g *graph.Graph) *graph.Graph {
+	bb := graph.NewBlockBuilder(64)
+	bb.Append(g.Edges(), nil)
+	return graph.FromBlocks(bb.Finish())
+}
+
+// goldenFiles encodes every re-encodable golden file from first
+// principles.
 func goldenFiles(t testing.TB) map[string][]byte {
 	t.Helper()
 	g, a, pg, m := goldenArtifacts(t)
+	full, delta := goldenShards(t, pg)
+	var bg bytes.Buffer
+	if err := WriteBlockGraph(&bg, goldenBlockGraph(g)); err != nil {
+		t.Fatal(err)
+	}
 	return map[string][]byte{
 		"graph.snap":      EncodeGraph(g),
 		"assignment.snap": EncodeAssignment(a),
-		"topology.snap":   EncodeTopology(pg, "2D"),
 		"metrics.snap":    EncodeMetrics(m, g, "2D"),
-		"store.snap": EncodeStore(
+		// persist.snap is the bundle Store.Persist writes for a cache
+		// holding the golden tuple's three stages (internal/store checks
+		// it byte for byte): the topology record is key-only.
+		"persist.snap": EncodeStore(
 			[]StoreGraph{{Labels: []string{goldenLabel}, Data: EncodeGraph(g)}},
 			[]StoreArtifact{
 				{GraphIndex: 0, Stage: StageAssignment, StrategyKey: "2D", NumParts: goldenParts, Data: EncodeAssignment(a)},
 				{GraphIndex: 0, Stage: StageMetrics, StrategyKey: "2D", NumParts: goldenParts, Data: EncodeMetrics(m, g, "2D")},
-				{GraphIndex: 0, Stage: StageTopology, StrategyKey: "2D", NumParts: goldenParts, Data: EncodeTopology(pg, "2D")},
+				{GraphIndex: 0, Stage: StageTopology, StrategyKey: "2D", NumParts: goldenParts},
 			},
 		),
+		"shard.snap":       EncodeShard(full),
+		"shard-delta.snap": EncodeShard(delta),
+		"blockgraph.snap":  bg.Bytes(),
 	}
 }
 
@@ -132,14 +216,6 @@ func TestGoldenCompat(t *testing.T) {
 		t.Error("golden assignment decodes to a different artifact")
 	}
 
-	dpg, err := DecodeTopology(readGolden(t, "topology.snap"), g, "2D", pregel.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dpg.RawTables(), pg.RawTables()) {
-		t.Error("golden topology decodes to a different artifact")
-	}
-
 	dm, err := DecodeMetrics(readGolden(t, "metrics.snap"), g, "2D")
 	if err != nil {
 		t.Fatal(err)
@@ -148,12 +224,64 @@ func TestGoldenCompat(t *testing.T) {
 		t.Errorf("golden metrics decode to a different artifact:\n got %+v\nwant %+v", dm, m)
 	}
 
-	sg, sa, err := DecodeStore(readGolden(t, "store.snap"))
+	for _, name := range []string{"store.snap", "persist.snap"} {
+		sg, sa, err := DecodeStore(readGolden(t, name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(sg) != 1 || len(sa) != 3 || sg[0].Labels[0] != goldenLabel || sa[2].Stage != StageTopology {
+			t.Errorf("%s decodes to %d graphs / %d artifacts", name, len(sg), len(sa))
+		}
+	}
+
+	full, delta := goldenShards(t, pg)
+	if modes := shardModes(delta); !slices.Equal(modes, []ShardPartMode{ShardPartAppend, ShardPartUnchanged, ShardPartReplace, ShardPartUnchanged}) {
+		t.Errorf("golden delta shard part modes %v, want [append unchanged replace unchanged]", modes)
+	}
+	for name, want := range map[string]*ShardPayload{"shard.snap": full, "shard-delta.snap": delta} {
+		got, err := DecodeShard(readGolden(t, name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s decodes to a different payload:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+
+	data := readGolden(t, "blockgraph.snap")
+	bg, err := OpenBlockGraphAt(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sg) != 1 || len(sa) != 3 || sg[0].Labels[0] != goldenLabel {
-		t.Errorf("golden store bundle decodes to %d graphs / %d artifacts", len(sg), len(sa))
+	if !bg.BlockBacked() || bg.Fingerprint() != g.Fingerprint() ||
+		!reflect.DeepEqual(bg.Vertices(), g.Vertices()) || !reflect.DeepEqual(bg.Edges(), g.Edges()) {
+		t.Error("golden block graph decodes to different content")
+	}
+}
+
+func shardModes(sp *ShardPayload) []ShardPartMode {
+	var modes []ShardPartMode
+	for _, p := range sp.Parts {
+		modes = append(modes, p.Mode)
+	}
+	return modes
+}
+
+// goldenDecoders maps every golden file to the typed decoder for its kind.
+func goldenDecoders() map[string]func([]byte) error {
+	g := goldenGraph()
+	return map[string]func([]byte) error{
+		"graph.snap":       func(d []byte) error { _, err := DecodeGraph(d); return err },
+		"assignment.snap":  func(d []byte) error { _, err := DecodeAssignment(d, g, "2D"); return err },
+		"metrics.snap":     func(d []byte) error { _, err := DecodeMetrics(d, g, "2D"); return err },
+		"store.snap":       func(d []byte) error { _, _, err := DecodeStore(d); return err },
+		"persist.snap":     func(d []byte) error { _, _, err := DecodeStore(d); return err },
+		"shard.snap":       func(d []byte) error { _, err := DecodeShard(d); return err },
+		"shard-delta.snap": func(d []byte) error { _, err := DecodeShard(d); return err },
+		"blockgraph.snap": func(d []byte) error {
+			_, err := OpenBlockGraphAt(bytes.NewReader(d), int64(len(d)))
+			return err
+		},
 	}
 }
 
@@ -161,15 +289,7 @@ func TestGoldenCompat(t *testing.T) {
 // every single-byte flip and every truncation of every golden file must be
 // rejected — never mis-decoded — by the typed decoder for its kind.
 func TestGoldenRejectsMutations(t *testing.T) {
-	g := goldenGraph()
-	decoders := map[string]func([]byte) error{
-		"graph.snap":      func(d []byte) error { _, err := DecodeGraph(d); return err },
-		"assignment.snap": func(d []byte) error { _, err := DecodeAssignment(d, g, "2D"); return err },
-		"topology.snap":   func(d []byte) error { _, err := DecodeTopology(d, g, "2D", pregel.BuildOptions{}); return err },
-		"metrics.snap":    func(d []byte) error { _, err := DecodeMetrics(d, g, "2D"); return err },
-		"store.snap":      func(d []byte) error { _, _, err := DecodeStore(d); return err },
-	}
-	for name, decode := range decoders {
+	for name, decode := range goldenDecoders() {
 		data := readGolden(t, name)
 		if err := decode(data); err != nil {
 			t.Fatalf("%s: pristine golden rejected: %v", name, err)

@@ -14,7 +14,10 @@ const (
 	StageAssignment Stage = 1
 	// StageMetrics is a metrics.Result container.
 	StageMetrics Stage = 2
-	// StageTopology is a built pregel.PartitionedGraph container.
+	// StageTopology marks a built pregel.PartitionedGraph. The record is
+	// key-only: its payload is empty (legacy bundles carry a KindTopology
+	// container there) and is never decoded — the restoring side rebuilds
+	// the topology from the same tuple's StageAssignment record.
 	StageTopology Stage = 3
 )
 

@@ -12,7 +12,6 @@ import (
 	"cutfit/internal/graph"
 	"cutfit/internal/metrics"
 	"cutfit/internal/partition"
-	"cutfit/internal/pregel"
 	"cutfit/internal/snap"
 )
 
@@ -26,6 +25,11 @@ const DefaultDiskMaxBytes int64 = 4 * DefaultMaxBytes
 // key, numParts, stage) tuple:
 //
 //	<dir>/<fingerprint>-<tuplehash>.snap
+//
+// Only assignments and metric sets spill. An evicted built topology is
+// dropped: the next Built miss rebuilds it from the assignment, no slower
+// than reading and validating persisted tables was. Topology files an
+// older build spilled are never read; they age out under the byte budget.
 //
 // The graph's content fingerprint leads the name, so every spilled entry of
 // one graph can be found (and invalidated) by prefix even across process
@@ -254,9 +258,9 @@ func (dt *diskTier) stat() (entries int, bytes int64) {
 // ---- store integration ----------------------------------------------------
 
 // encodeEntry serializes one cache entry as its standalone snap container.
-// ok is false for entries whose graph was mutated after they were computed
-// (their content no longer matches the live fingerprint) — those are
-// garbage and must not be spilled.
+// ok is false for built topologies, which never spill, and for entries
+// whose graph was mutated after they were computed (their content no
+// longer matches the live fingerprint) — those are garbage.
 func (st *Store) encodeEntry(e *entry) (name string, data []byte, ok bool) {
 	k := e.key
 	if k.version != k.g.Version() {
@@ -267,8 +271,6 @@ func (st *Store) encodeEntry(e *entry) (name string, data []byte, ok bool) {
 		data = snap.EncodeAssignment(e.val.(*partition.Assignment))
 	case kindMetrics:
 		data = snap.EncodeMetrics(e.val.(*metrics.Result), k.g, k.strategy)
-	case kindBuilt:
-		data = snap.EncodeTopology(e.val.(*pregel.PartitionedGraph), k.strategy)
 	default:
 		return "", nil, false
 	}
@@ -303,38 +305,25 @@ func (st *Store) fromDisk(g *graph.Graph, strategyKey string, numParts int, kd k
 		return nil, 0, false
 	}
 	var (
-		val  any
-		cost int64
-		err  error
+		val   any
+		cost  int64
+		parts int
+		err   error
 	)
 	switch kd {
 	case kindAssignment:
 		var a *partition.Assignment
 		if a, err = snap.DecodeAssignment(data, g, strategyKey); err == nil {
-			if a.NumParts != numParts {
-				err = fmt.Errorf("store: disk entry holds %d parts, want %d", a.NumParts, numParts)
-			} else {
-				val, cost = a, a.MemoryFootprint()
-			}
+			val, cost, parts = a, a.MemoryFootprint(), a.NumParts
 		}
 	case kindMetrics:
 		var m *metrics.Result
 		if m, err = snap.DecodeMetrics(data, g, strategyKey); err == nil {
-			if m.NumParts != numParts {
-				err = fmt.Errorf("store: disk entry holds %d parts, want %d", m.NumParts, numParts)
-			} else {
-				val, cost = m, metricsFootprint(m)
-			}
+			val, cost, parts = m, metricsFootprint(m), m.NumParts
 		}
-	case kindBuilt:
-		var pg *pregel.PartitionedGraph
-		if pg, err = snap.DecodeTopology(data, g, strategyKey, st.build); err == nil {
-			if pg.NumParts != numParts {
-				err = fmt.Errorf("store: disk entry holds %d parts, want %d", pg.NumParts, numParts)
-			} else {
-				val, cost = pg, pg.MemoryFootprint()
-			}
-		}
+	}
+	if err == nil && parts != numParts {
+		err = fmt.Errorf("store: disk entry holds %d parts, want %d", parts, numParts)
 	}
 	if err != nil {
 		st.disk.remove(name)
@@ -347,8 +336,9 @@ func (st *Store) fromDisk(g *graph.Graph, strategyKey string, numParts int, kd k
 	return val, cost, true
 }
 
-// FlushDisk writes every live cached artifact through to the disk tier
-// (entries whose graph was mutated since they were computed are skipped).
+// FlushDisk writes every live cached assignment and metric set through to
+// the disk tier (built topologies, and entries whose graph was mutated
+// since they were computed, are skipped).
 // It returns the number of entries written. A no-op without a disk tier.
 // Useful before shutdown when only the disk tier — not a full Persist
 // snapshot — carries state across restarts.

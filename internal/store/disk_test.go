@@ -10,6 +10,7 @@ import (
 
 	"cutfit/internal/graph"
 	"cutfit/internal/partition"
+	"cutfit/internal/testutil"
 )
 
 // diskFiles lists the .snap entries of a disk tier directory.
@@ -72,9 +73,10 @@ func TestDiskSpillAndHit(t *testing.T) {
 }
 
 // TestDiskSurvivesRestart: a fresh store over the same directory — and a
-// fresh graph object with the same content — restores spilled artifacts
-// instead of recomputing. This is the warm-restart contract: disk keys are
-// content fingerprints, never pointers or process-local versions.
+// fresh graph object with the same content — restores the spilled
+// assignment instead of re-partitioning, and rebuilds the topology from it.
+// This is the warm-restart contract: disk keys are content fingerprints,
+// never pointers or process-local versions.
 func TestDiskSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(t, 200, 800, 3)
@@ -85,8 +87,8 @@ func TestDiskSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st1.FlushDisk(); err != nil {
-		t.Fatal(err)
+	if n, err := st1.FlushDisk(); err != nil || n != 1 {
+		t.Fatalf("FlushDisk wrote %d entries (err %v), want 1: the assignment, never the topology", n, err)
 	}
 
 	// "Restart": new store, new graph object with identical content.
@@ -99,8 +101,8 @@ func TestDiskSurvivesRestart(t *testing.T) {
 	if cs.calls.Load() != 1 {
 		t.Fatalf("strategy ran %d times, want 1 — restart recomputed instead of reading disk", cs.calls.Load())
 	}
-	if !reflect.DeepEqual(got.RawTables(), want.RawTables()) {
-		t.Fatal("disk-restored topology differs from the original")
+	if err := testutil.SameTopology(got, want); err != nil {
+		t.Fatalf("topology rebuilt from the disk assignment differs from the original: %v", err)
 	}
 	if st2.Stats().DiskHits != 1 {
 		t.Fatalf("DiskHits = %d, want 1", st2.Stats().DiskHits)
@@ -122,7 +124,7 @@ func TestInvalidateGraphDropsDiskEntries(t *testing.T) {
 	if _, err := st.Assignment(g, cs, 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Built(g, cs, 8); err != nil {
+	if _, err := st.Metrics(g, cs, 8); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Assignment(other, cs, 8); err != nil {
@@ -297,8 +299,8 @@ func TestPersistRestoreStore(t *testing.T) {
 	if !reflect.DeepEqual(gotM, wantM) {
 		t.Fatalf("restored metrics differ:\n got %+v\nwant %+v", gotM, wantM)
 	}
-	if !reflect.DeepEqual(gotPG.RawTables(), wantPG.RawTables()) {
-		t.Fatal("restored topology differs")
+	if err := testutil.SameTopology(gotPG, wantPG); err != nil {
+		t.Fatalf("restored topology differs: %v", err)
 	}
 	stats := st2.Stats()
 	if stats.Misses != 0 || stats.Hits != 3 {

@@ -42,23 +42,40 @@ type PersistSummary struct {
 
 // Persist snapshots the whole cache to w as one snap.KindStore container:
 // every distinct graph referenced by a live cache entry or by names, then
-// every live cached artifact (assignments, metric sets, built topologies).
-// names label graphs for the restoring side (a server's name registry);
-// multiple names may share one graph. Entries whose graph was mutated
-// after they were computed are skipped — they are garbage under the live
-// fingerprint. The encoding is deterministic for a given cache state.
+// every live cached assignment and metric set, and a key-only record per
+// built topology, whose tuple's assignment is always written too (from the
+// topology's PID order if that entry was evicted). names label graphs for
+// the restoring side (a server's name registry); multiple names may share
+// one graph. Entries whose graph was mutated after they were computed are
+// skipped — they are garbage under the live fingerprint. The encoding is
+// deterministic for a given cache state.
 //
 // Persist holds the store lock only while listing entries; encoding runs
 // concurrently with normal cache traffic against the immutable artifacts.
 func (st *Store) Persist(w io.Writer, names map[string]*graph.Graph) (PersistSummary, error) {
 	st.mu.Lock()
 	live := make([]*entry, 0, len(st.entries))
-	for _, e := range st.entries {
-		if e.key.version == e.key.g.Version() {
+	var orphans []*entry // live topologies whose assignment entry was evicted
+	for k, e := range st.entries {
+		if k.version == k.g.Version() {
 			live = append(live, e)
+			ak := key{g: k.g, version: k.version, strategy: k.strategy, numParts: k.numParts, kind: kindAssignment}
+			if k.kind == kindBuilt && st.entries[ak] == nil {
+				orphans = append(orphans, e)
+			}
 		}
 	}
 	st.mu.Unlock()
+	for _, e := range orphans {
+		k := e.key
+		k.kind = kindAssignment
+		// The key stands in for the strategy name, which is not retained.
+		a, err := partition.NewAssignment(k.g, k.strategy, e.val.(*pregel.PartitionedGraph).AssignOrder(), k.numParts)
+		if err != nil {
+			return PersistSummary{}, fmt.Errorf("store: recovering the assignment of a topology: %w", err)
+		}
+		live = append(live, &entry{key: k, val: a})
+	}
 
 	// Distinct graphs, labeled by every name that points at them.
 	labels := make(map[*graph.Graph][]string)
@@ -135,7 +152,6 @@ func (st *Store) Persist(w io.Writer, names map[string]*graph.Graph) (PersistSum
 			a.Data = snap.EncodeMetrics(e.val.(*metrics.Result), k.g, k.strategy)
 		case kindBuilt:
 			a.Stage = snap.StageTopology
-			a.Data = snap.EncodeTopology(e.val.(*pregel.PartitionedGraph), k.strategy)
 		default:
 			continue
 		}
@@ -151,12 +167,15 @@ func (st *Store) Persist(w io.Writer, names map[string]*graph.Graph) (PersistSum
 
 // Restore loads a Persist snapshot into the cache: graphs are decoded
 // (fresh objects at fresh process-unique versions, vertex views
-// pre-seeded), every artifact is decoded against its graph with the full
-// codec validation, and the results are inserted under the restored
-// graphs' live keys — so the very first request against a restored graph
-// is a cache hit. The labeled graphs are returned by name so callers can
-// rebuild their registries. Entries that do not fit the memory budget
-// spill straight to the disk tier (when configured).
+// pre-seeded), every assignment and metric set is decoded against its
+// graph with the full codec validation, and every topology is rebuilt from
+// its tuple's preceding assignment record as a Built miss would (the
+// record's payload is never read; without such an assignment it is
+// skipped). The results are inserted under the restored graphs' live keys
+// — so the very first request against a restored graph is a cache hit.
+// The labeled graphs are returned by name so callers can rebuild their
+// registries. Entries that do not fit the memory budget spill straight to
+// the disk tier (when configured).
 func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 	data, err := readAllSized(r)
 	if err != nil {
@@ -168,6 +187,7 @@ func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 	}
 	graphs := make([]*graph.Graph, len(sg))
 	named := make(map[string]*graph.Graph)
+	restored := make(map[key]*partition.Assignment)
 	for i, rec := range sg {
 		g, err := snap.DecodeGraph(rec.Data)
 		if err != nil {
@@ -186,10 +206,12 @@ func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 	}
 	for i, rec := range sa {
 		g := graphs[rec.GraphIndex]
+		// k is the tuple's assignment key, which restored is keyed by,
+		// until the stage below retags it.
+		k := key{g: g, version: g.Version(), strategy: rec.StrategyKey, numParts: rec.NumParts, kind: kindAssignment}
 		var (
 			val      any
 			cost     int64
-			kd       kind
 			numParts int
 		)
 		// Each decode verifies the embedded container's strategy key
@@ -203,24 +225,33 @@ func (st *Store) Restore(r io.Reader) (map[string]*graph.Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("store: restoring artifact %d: %w", i, err)
 			}
-			val, cost, kd, numParts = a, a.MemoryFootprint(), kindAssignment, a.NumParts
+			// A second record of the tuple could disagree with a
+			// topology already rebuilt from the first.
+			if restored[k] != nil {
+				return nil, fmt.Errorf("store: restoring artifact %d: second assignment record for %s/%d", i, k.strategy, k.numParts)
+			}
+			val, cost, numParts = a, a.MemoryFootprint(), a.NumParts
+			restored[k] = a
 		case snap.StageMetrics:
 			m, err := snap.DecodeMetrics(rec.Data, g, rec.StrategyKey)
 			if err != nil {
 				return nil, fmt.Errorf("store: restoring artifact %d: %w", i, err)
 			}
-			val, cost, kd, numParts = m, metricsFootprint(m), kindMetrics, m.NumParts
+			val, cost, k.kind, numParts = m, metricsFootprint(m), kindMetrics, m.NumParts
 		case snap.StageTopology:
-			pg, err := snap.DecodeTopology(rec.Data, g, rec.StrategyKey, st.build)
+			a, ok := restored[k]
+			if !ok {
+				continue
+			}
+			pg, err := pregel.NewPartitionedGraphFromAssignment(a, st.build)
 			if err != nil {
 				return nil, fmt.Errorf("store: restoring artifact %d: %w", i, err)
 			}
-			val, cost, kd, numParts = pg, pg.MemoryFootprint(), kindBuilt, pg.NumParts
+			val, cost, k.kind, numParts = pg, pg.MemoryFootprint(), kindBuilt, pg.NumParts
 		}
 		if numParts != rec.NumParts {
 			return nil, fmt.Errorf("store: restoring artifact %d: holds %d parts, record says %d", i, numParts, rec.NumParts)
 		}
-		k := key{g: g, version: g.Version(), strategy: rec.StrategyKey, numParts: rec.NumParts, kind: kd}
 		st.mu.Lock()
 		evicted := st.insert(k, val, cost)
 		st.syncGauges()

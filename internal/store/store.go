@@ -91,8 +91,9 @@ type Config struct {
 	// concurrently, which is exactly what the engine scratch pools serve.
 	Build pregel.BuildOptions
 	// DiskDir, when non-empty, enables the durable disk tier under the
-	// in-memory cache: entries evicted by the LRU spill to
-	// <DiskDir>/<fingerprint>-<tuplehash>.snap, misses check disk before
+	// in-memory cache: assignments and metric sets evicted by the LRU spill
+	// to <DiskDir>/<fingerprint>-<tuplehash>.snap (an evicted topology is
+	// dropped and rebuilt from its assignment), misses check disk before
 	// recomputing, and entries survive process restarts (the file name is
 	// keyed by graph content, not pointers). The directory is created if
 	// missing; if it cannot be, the store silently runs memory-only —
@@ -322,15 +323,13 @@ func (st *Store) Metrics(g *graph.Graph, s partition.Strategy, numParts int) (*m
 }
 
 // Built returns the cached engine-ready topology of (g, s, numParts),
-// building it from the store's cached Assignment on miss. The returned
+// building it on miss from the store's Assignment (memory, disk tier or a
+// fresh pass) — topologies themselves never come from disk. The returned
 // PartitionedGraph is shared: it is safe for concurrent runs (engine state
 // lives in per-run pooled scratch) and must not be mutated.
 func (st *Store) Built(g *graph.Graph, s partition.Strategy, numParts int) (*pregel.PartitionedGraph, error) {
 	k := st.keyFor(g, s, numParts, kindBuilt)
 	v, err := st.do(k, func() (any, int64, error) {
-		if v, cost, ok := st.fromDisk(g, k.strategy, numParts, kindBuilt); ok {
-			return v, cost, nil
-		}
 		if pg, ok := st.builtViaDelta(g, s, numParts); ok {
 			return pg, pg.MemoryFootprint(), nil
 		}

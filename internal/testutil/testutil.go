@@ -1,6 +1,7 @@
-// Package testutil provides the cross-strategy partition invariant checker:
-// a single oracle that any (graph, strategy, partition count) combination
-// can be verified against, independent of how the partitioned
+// Package testutil provides test oracles shared across packages: the
+// SameTopology comparator and the cross-strategy partition invariant
+// checker — a single oracle that any (graph, strategy, partition count)
+// combination can be verified against, independent of how the partitioned
 // representation was constructed. Engine refactors (the sort/scatter
 // builder replacing the hash-map builder) and new partitioning strategies
 // are both validated by the same checks, so neither can silently break

@@ -13,21 +13,20 @@ import (
 // youtube analog's engine-ready partitioning (128 partitions, 2D) from a
 // fresh session that either
 //
-//   - restore: reads the cached artifact pair — the built topology with
-//     its embedded per-edge assignment (AssignOrder) — from the disk tier:
-//     one read, decode and full invariant validation, zero strategy passes,
-//     zero sorts; or
+//   - restore: reads the spilled assignment from the disk tier (one read,
+//     decode and validation, zero strategy passes) and builds the topology
+//     from it — topologies themselves are never persisted; or
 //   - rebuild: re-partitions and re-builds from scratch — the cost every
 //     deploy or crash paid before the disk tier existed.
 //
 // Both sides are exactly one Session.Partition call against the same
 // registered in-memory graph; sessions are constructed outside the timer
-// (an empty session is not restoration work). The acceptance bar is
-// restore ≥ 10× faster than rebuild.
+// (an empty session is not restoration work). The gap between them is the
+// strategy pass the disk tier saves.
 //
 // The restart pair below widens the scope to a full process restart from a
-// snapshot file: the graph itself, the standalone assignment artifact
-// (histogram + strategy identity) and the topology all come back from one
+// snapshot file: the graph itself, the assignment artifact (histogram +
+// strategy identity) and a topology rebuilt from it all come back from one
 // read, versus a cold graph re-deriving its views and re-running the whole
 // pipeline.
 func BenchmarkRestoreVsRebuild(b *testing.B) {
@@ -53,7 +52,7 @@ func BenchmarkRestoreVsRebuild(b *testing.B) {
 	if _, err := warm.Partition(g, s, parts); err != nil {
 		b.Fatal(err)
 	}
-	if n, err := warm.Flush(); err != nil || n < 2 {
+	if n, err := warm.Flush(); err != nil || n < 1 {
 		b.Fatalf("Flush wrote %d entries, err %v", n, err)
 	}
 	snapPath := filepath.Join(dir, "bench.snap")
@@ -78,7 +77,7 @@ func BenchmarkRestoreVsRebuild(b *testing.B) {
 				b.Fatal(err)
 			}
 			if stats := se.CacheStats(); stats.DiskHits != 1 {
-				b.Fatalf("disk tier did not serve the topology: %+v", stats)
+				b.Fatalf("disk tier did not serve the assignment: %+v", stats)
 			}
 		}
 	})

@@ -33,9 +33,9 @@ type SessionOptions struct {
 	// SimSecs; nil means ConfigI with NumPartitions overridden per run.
 	Cluster *ClusterConfig
 	// DiskDir, when non-empty, enables the durable disk tier under the
-	// artifact cache: artifacts evicted from memory spill to versioned
-	// snapshot files in this directory, cache misses check disk before
-	// recomputing, and spilled entries survive process restarts (files are
+	// artifact cache: evicted assignments and metric sets spill to versioned
+	// snapshot files in this directory (topologies are rebuilt, never
+	// spilled), cache misses check disk before recomputing, and spilled entries survive process restarts (files are
 	// keyed by graph content, so a re-registered identical graph warms
 	// straight from disk). The directory is created if needed; if it cannot
 	// be, the session runs memory-only.
@@ -306,10 +306,10 @@ func (se *Session) SlideWindow(g *Graph, edges []Edge, weights []float64, expire
 }
 
 // Snapshot writes the session's whole artifact cache to w as one
-// versioned, CRC-checked snapshot: every cached graph and every cached
-// assignment, metric set and built topology. cutfit.RestoreSession reads
-// it back into a fresh session whose first requests are cache hits — a
-// restart costs one read instead of re-partitioning everything. See
+// versioned, CRC-checked snapshot: every cached graph, assignment and
+// metric set, and the key of every built topology. cutfit.RestoreSession
+// reads it back into a fresh session whose first requests are cache hits —
+// topologies are rebuilt from their assignments, never re-partitioned. See
 // SnapshotNamed to label graphs for a name registry.
 func (se *Session) Snapshot(w io.Writer) error {
 	_, err := se.SnapshotNamed(w, nil)
@@ -328,9 +328,9 @@ func (se *Session) SnapshotNamed(w io.Writer, names map[string]*Graph) (Snapshot
 	return se.st.Persist(w, names)
 }
 
-// Flush writes every cached artifact through to the session's disk tier,
-// returning how many entries were written — a no-op (0, nil) without
-// SessionOptions.DiskDir. Use it before shutdown when the disk tier alone
+// Flush writes every cached assignment and metric set (never a topology)
+// through to the session's disk tier, returning how many entries were
+// written — a no-op (0, nil) without SessionOptions.DiskDir. Use it before shutdown when the disk tier alone
 // (rather than a Snapshot file) should carry the cache across restarts.
 func (se *Session) Flush() (int, error) {
 	if se.st == nil {
@@ -345,8 +345,8 @@ func (se *Session) Flush() (int, error) {
 // Every artifact is re-validated by the snapshot codec before it enters
 // the cache — a corrupt or tampered snapshot fails loudly rather than
 // serving a wrong-but-plausible artifact. Requests against the returned
-// graphs hit the restored cache immediately: restoring a partitioned
-// topology is one read + validation, never a re-partition.
+// graphs hit the restored cache immediately: each partitioned topology is
+// rebuilt from its restored assignment, never re-partitioned.
 func RestoreSession(r io.Reader, opts SessionOptions) (*Session, map[string]*Graph, error) {
 	se := NewSession(opts)
 	named, err := se.st.Restore(r)

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"cutfit"
+	"cutfit/internal/testutil"
 )
 
 // snapshotStrategies covers every strategy family the library ships: the
@@ -33,8 +34,9 @@ func snapshotStrategies(t *testing.T) []cutfit.Strategy {
 
 // TestSnapshotRestoreRoundTrip: snapshot → restore over every strategy ×
 // graph family yields bit-identical assignments, metrics and PageRank/CC
-// results, with the restored session never re-partitioning (cache counters
-// asserted). A grown generation rides along in the same snapshot.
+// results, and topologies equal to a from-scratch build, with the restored
+// session never re-partitioning (cache counters asserted from the first
+// request on). A grown generation rides along in the same snapshot.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	const parts = 16
 	ctx := context.Background()
@@ -112,9 +114,26 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			if g2.NumEdges() != g.NumEdges() || ng2.NumEdges() != ng.NumEdges() {
 				t.Fatal("restored graphs have different edge counts")
 			}
+			if _, err := se2.Partition(g2, strategies[0], parts); err != nil {
+				t.Fatal(err)
+			}
+			if stats := se2.CacheStats(); stats.Misses != 0 || stats.Hits != 1 {
+				t.Fatalf("first request after restore: stats %+v, want a hit with 0 misses", stats)
+			}
 
 			for _, s := range strategies {
 				w := wants[s.Name()]
+				pg2, err := se2.Partition(g2, s, parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := cutfit.Partition(g2, s, parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := testutil.SameTopology(pg2, fresh); err != nil {
+					t.Fatalf("%s: restored topology differs from a from-scratch build: %v", s.Name(), err)
+				}
 				a2, err := se2.Assignment(g2, s, parts)
 				if err != nil {
 					t.Fatalf("%s: %v", s.Name(), err)
@@ -212,7 +231,7 @@ func TestSnapshotDiskTierWarmStart(t *testing.T) {
 	}
 	stats := se2.CacheStats()
 	if stats.DiskHits < 2 {
-		t.Fatalf("expected ≥2 disk hits (metrics + topology), got %+v", stats)
+		t.Fatalf("expected ≥2 disk hits (metrics + assignment), got %+v", stats)
 	}
 }
 
