@@ -138,11 +138,13 @@ bench-compare:
 # Longer fuzz session: the edge-list ingest path, the incremental topology
 # patchers (delta append and shrink/slide-window, each cross-checked
 # against a full rebuild), the dense/sparse/auto engine scan equivalence
-# (including density-threshold crossovers mid-run), and the snapshot
+# (including density-threshold crossovers mid-run), the snapshot
 # decoders (container parsing + the assignment codec, seeded from the
-# golden corpus) and the store restore path (bundles whose topology
-# records are rebuilt from their tuple's assignment). FUZZTIME is per
-# target; the nightly workflow raises it.
+# golden corpus), the store restore path (bundles whose topology
+# records are rebuilt from their tuple's assignment) and the distributed
+# runtime's broadcast/reduce frame parser (seeded from frames captured in
+# a distributed run). FUZZTIME is per target; the nightly workflow raises
+# it.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph/
@@ -152,6 +154,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAssignment -fuzztime=$(FUZZTIME) ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRestore -fuzztime=$(FUZZTIME) ./internal/store/
+	$(GO) test -run='^$$' -fuzz=FuzzParseFrame -fuzztime=$(FUZZTIME) ./internal/dist/
 
 # Seconds-long fuzz smoke for make check: long enough to catch parser,
 # delta-patch and snapshot-decoder regressions on the seed corpus, short
@@ -164,6 +167,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=5s ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAssignment -fuzztime=5s ./internal/snap/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRestore -fuzztime=5s ./internal/store/
+	$(GO) test -run='^$$' -fuzz=FuzzParseFrame -fuzztime=5s ./internal/dist/
 
 # Golden-corpus compatibility gate over internal/snap/testdata/golden:
 # every golden this build still encodes must re-encode byte-identically,

@@ -8,7 +8,7 @@
 //     (loadgen's exit contract);
 //  2. /v1/run responses for pagerank, dynamicpr and cc are byte-equal
 //     between the two daemons — before AND after the same edge batch is
-//     appended to both (the delta-shipping path);
+//     appended to both (the new generation ships full shards);
 //  3. the coordinator's metrics prove runs actually fanned out
 //     (cutfit_dist_runs_total{mode="distributed"} > 0) and none fell
 //     back to local (mode="fallback" stays 0) — a silently degraded
@@ -156,7 +156,8 @@ func run(binDir, coordAddr, localAddr string, workerAddrs []string, rps float64,
 	}
 
 	// Phase 3: append the same batch to both, then compare again — this
-	// run crosses a generation boundary, so the coordinator ships deltas.
+	// run crosses a generation boundary, so the coordinator ships the new
+	// generation's full shards.
 	appendBody := `{"edges":` + strconv.Quote(smokeEdges(1)) + `}`
 	var appendReplies [2][]byte
 	for i, u := range []string{coordURL, localURL} {

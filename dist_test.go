@@ -12,7 +12,15 @@ import (
 	"cutfit"
 	"cutfit/internal/algorithms"
 	"cutfit/internal/dist"
+	"cutfit/internal/obsv"
 )
+
+// distFallbacks reads the process-wide count of distributed runs that fell
+// back to local execution. A fallback is bit-identical to the distributed
+// run it replaces, so comparing reports alone cannot tell the two apart.
+func distFallbacks() int64 {
+	return obsv.Default.CounterVec("cutfit_dist_runs_total", "", "mode").With("fallback").Value()
+}
 
 // TestSessionDistributedRun drives Session.Run through an attached worker
 // pool on loopback sockets and requires the report to be deep-equal to the
@@ -33,6 +41,7 @@ func TestSessionDistributedRun(t *testing.T) {
 	}
 	distSe.AttachWorkers(cutfit.NewWorkerPool(urls))
 
+	fallbacksBefore := distFallbacks()
 	for _, s := range []cutfit.Strategy{cutfit.EdgePartition2D(), cutfit.RandomVertexCut(), cutfit.DestinationCut()} {
 		for _, alg := range algorithms.Names() {
 			want, err := local.Run(ctx, g, s, 6, alg, 8)
@@ -47,6 +56,9 @@ func TestSessionDistributedRun(t *testing.T) {
 				t.Fatalf("%s/%s: distributed report diverges from local\n got: %+v\nwant: %+v", alg, s.Name(), got, want)
 			}
 		}
+	}
+	if n := distFallbacks() - fallbacksBefore; n != 0 {
+		t.Fatalf("%d runs fell back to local instead of running distributed", n)
 	}
 }
 
@@ -87,9 +99,10 @@ func TestSessionDistributedFallback(t *testing.T) {
 	}
 }
 
-// TestSessionDistributedAfterAppend ships generations as deltas: run, grow
-// the graph through the session's append path, run again — both runs must
-// match local bit-for-bit.
+// TestSessionDistributedAfterAppend runs, grows the graph through the
+// session's append path and runs again: both runs must run distributed
+// (the grown generation ships its own full shards) and match local
+// bit-for-bit.
 func TestSessionDistributedAfterAppend(t *testing.T) {
 	g := sessionTestGraph(t)
 	ctx := context.Background()
@@ -111,9 +124,13 @@ func TestSessionDistributedAfterAppend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fallbacksBefore := distFallbacks()
 		got, err := distSe.Run(ctx, dg, strat, 5, "pagerank", 6)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
+		}
+		if distFallbacks() != fallbacksBefore {
+			t.Fatalf("%s: run fell back to local instead of running distributed", label)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: distributed report diverges from local", label)

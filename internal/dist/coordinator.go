@@ -14,41 +14,28 @@ import (
 )
 
 // prepareWorker ensures worker wIdx holds the shard for (pg, key): nothing
-// if the cache says it is already installed (a stale cache is healed by
-// RunStart's 404 → full re-ship), a delta patch when the previous
-// generation is a compatible base, else a full container. Caller holds
+// if it was the last shard shipped to that worker (a stale entry is healed
+// by RunStart's 404 → full re-ship), else a full container. Caller holds
 // pool.mu.
 func (p *Pool) prepareWorker(ctx context.Context, wIdx int, key string, pg *pregel.PartitionedGraph) error {
-	url := p.urls[wIdx]
-	wc := p.cache[url]
-	if wc == nil {
-		wc = &workerCache{}
-		p.cache[url] = wc
-	}
-	if wc.lastKey == key {
+	if p.lastKey[wIdx] == key {
 		cShards.With("reused").Inc()
 		return nil
 	}
-	if wc.lastPG != nil && wc.lastKey != "" {
-		if sp, ok := diffShard(wc.lastPG, pg, wc.lastKey, wIdx, len(p.urls)); ok {
-			err := p.tr.InstallDelta(ctx, url, key, wc.lastKey, snap.EncodeShard(sp))
-			if err == nil {
-				cShards.With("delta").Inc()
-				wc.lastKey, wc.lastPG = key, pg
-				return nil
-			}
-			if !errors.Is(err, ErrBaseMissing) {
-				return err
-			}
-			// Base evicted on the worker: fall through to a full ship.
-		}
+	if err := p.shipShard(ctx, wIdx, key, pg); err != nil {
+		return err
 	}
+	p.lastKey[wIdx] = key
+	return nil
+}
+
+// shipShard installs worker wIdx's full shard of pg under key.
+func (p *Pool) shipShard(ctx context.Context, wIdx int, key string, pg *pregel.PartitionedGraph) error {
 	full := snap.EncodeShard(extractShard(pg, wIdx, len(p.urls)))
-	if err := p.tr.InstallShard(ctx, url, key, full); err != nil {
+	if err := p.tr.InstallShard(ctx, p.urls[wIdx], key, full); err != nil {
 		return err
 	}
 	cShards.With("full").Inc()
-	wc.lastKey, wc.lastPG = key, pg
 	return nil
 }
 
@@ -225,11 +212,9 @@ func runDist[V, M any](ctx context.Context, pool *Pool, pg *pregel.PartitionedGr
 		s.Shard = keys[w]
 		err := pool.tr.StartRun(ctx, pool.urls[w], s)
 		if errors.Is(err, ErrShardMissing) {
-			// The worker evicted the shard (or restarted) since the cache
+			// The worker evicted the shard (or restarted) since the pool
 			// last shipped it: re-ship a full container and retry once.
-			full := snap.EncodeShard(extractShard(pg, w, W))
-			if err = pool.tr.InstallShard(ctx, pool.urls[w], keys[w], full); err == nil {
-				cShards.With("full").Inc()
+			if err = pool.shipShard(ctx, w, keys[w], pg); err == nil {
 				err = pool.tr.StartRun(ctx, pool.urls[w], s)
 			}
 		}

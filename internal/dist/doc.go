@@ -12,11 +12,14 @@
 // float64 message combines happen in the identical sequence: a distributed
 // run is bit-identical to pregel.Run on the same assignment.
 //
-// Shards ship as internal/snap containers (KindShard), content-addressed by
-// graph fingerprint plus a topology checksum, with unchanged/append/replace
-// per-partition deltas across Grow/Shrink generations. The wire codec is a
-// plain HTTP/1.1+JSON/binary-frame transport behind the Transport
-// interface, so a gRPC transport can slot in without touching the
-// coordinator or worker logic. docs/DISTRIBUTED.md documents the protocol;
+// Shards ship whole as internal/snap containers (KindShard),
+// content-addressed by graph fingerprint plus a topology checksum: a worker
+// that already holds the key gets nothing, any other gets the full shard.
+// A Grow or Shrink generation ships full too — under the vertex-cut
+// strategies a small batch shifts the local indices of almost every
+// partition, so a per-partition delta would carry nearly the whole shard
+// anyway. The wire codec is a plain HTTP/1.1+JSON/binary-frame transport
+// behind the Transport interface, so a gRPC transport can slot in without
+// touching the coordinator or worker logic. docs/DISTRIBUTED.md documents the protocol;
 // the ProtocolMessages table in protocol.go is its single source of truth.
 package dist

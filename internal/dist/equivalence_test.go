@@ -19,7 +19,7 @@ import (
 // startCluster boots n workers on real 127.0.0.1 sockets and returns a
 // pool over them. Each worker is a full HTTP stack — frames cross the
 // loopback wire exactly as they would a network.
-func startCluster(t *testing.T, n int) (*Pool, []*Worker) {
+func startCluster(t testing.TB, n int) (*Pool, []*Worker) {
 	t.Helper()
 	workers := make([]*Worker, n)
 	urls := make([]string, n)
@@ -62,7 +62,7 @@ func hubAndChain(spokes, chain int) *graph.Graph {
 	return graph.FromEdges(edges)
 }
 
-func mustPartition(t *testing.T, g *graph.Graph, s partition.Strategy, parts int) *pregel.PartitionedGraph {
+func mustPartition(t testing.TB, g *graph.Graph, s partition.Strategy, parts int) *pregel.PartitionedGraph {
 	t.Helper()
 	assign, err := s.Partition(g, parts)
 	if err != nil {
@@ -189,14 +189,14 @@ func TestWireTableNamesRegistry(t *testing.T) {
 }
 
 // TestDistributedGenerations grows and then shrinks a graph, running
-// distributed after every generation step; the second and third runs must
-// ship deltas, not full shards, and every run must stay bit-identical to
-// the local engine.
+// distributed after every generation step: each new generation ships
+// exactly one full shard per worker (its second run reuses them), and
+// every run stays bit-identical to the local engine.
 func TestDistributedGenerations(t *testing.T) {
 	ctx := context.Background()
-	pool, _ := startCluster(t, 2)
+	const W, parts = 2, 5
+	pool, _ := startCluster(t, W)
 	strat := partition.RandomVertexCut()
-	const parts = 5
 
 	check := func(label string, pg *pregel.PartitionedGraph) {
 		t.Helper()
@@ -224,9 +224,24 @@ func TestDistributedGenerations(t *testing.T) {
 		}
 	}
 
+	// checkShipsFull runs check on a generation new to the pool: PageRank
+	// ships one full shard to each worker, CC then reuses them.
+	checkShipsFull := func(label string, pg *pregel.PartitionedGraph) {
+		t.Helper()
+		fullBefore := cShards.With("full").Value()
+		reusedBefore := cShards.With("reused").Value()
+		check(label, pg)
+		if got := cShards.With("full").Value() - fullBefore; got != W {
+			t.Fatalf("%s: shipped %d full shards, want %d", label, got, W)
+		}
+		if got := cShards.With("reused").Value() - reusedBefore; got != W {
+			t.Fatalf("%s: reused %d shards, want %d", label, got, W)
+		}
+	}
+
 	g1 := randomGraph(7, 50, 250)
 	pg1 := mustPartition(t, g1, strat, parts)
-	check("base", pg1)
+	checkShipsFull("base", pg1)
 
 	// Grow: append a batch touching both existing and brand-new vertices.
 	nv := int32(g1.NumVertices())
@@ -237,22 +252,11 @@ func TestDistributedGenerations(t *testing.T) {
 		{Src: 1, Dst: graph.VertexID(nv + 3)},
 	}
 	g2, _ := g1.Grow(batch)
-	pg2 := mustPartition(t, g2, strat, parts)
-
-	deltasBefore := cShards.With("delta").Value()
-	check("grown", pg2)
-	if got := cShards.With("delta").Value(); got <= deltasBefore {
-		t.Fatalf("grown generation shipped no delta shards (counter %d -> %d)", deltasBefore, got)
-	}
+	checkShipsFull("grown", mustPartition(t, g2, strat, parts))
 
 	// Shrink: retire the oldest quarter of the edge window.
 	g3, _ := g2.ShrinkBefore(g2.NumEdges() / 4)
-	pg3 := mustPartition(t, g3, strat, parts)
-	deltasBefore = cShards.With("delta").Value()
-	check("shrunk", pg3)
-	if got := cShards.With("delta").Value(); got <= deltasBefore {
-		t.Logf("note: shrunk generation shipped full shards (counter %d -> %d)", deltasBefore, got)
-	}
+	checkShipsFull("shrunk", mustPartition(t, g3, strat, parts))
 }
 
 // TestShardReuse verifies that re-running on an unchanged topology ships

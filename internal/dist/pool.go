@@ -13,20 +13,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"cutfit/internal/pregel"
 )
 
-// Sentinel errors the transport maps well-known worker status codes to, so
-// the coordinator can re-ship shards instead of failing the run.
-var (
-	// ErrShardMissing is RunStart's 404: the worker evicted or never had
-	// the shard; the coordinator re-ships a full container and retries.
-	ErrShardMissing = errors.New("dist: shard not installed on worker")
-	// ErrBaseMissing is ShardDelta's 409: the delta's base generation is
-	// gone; the coordinator falls back to a full container.
-	ErrBaseMissing = errors.New("dist: delta base shard not installed on worker")
-)
+// ErrShardMissing is RunStart's 404: the worker evicted or never had the
+// shard; the coordinator re-ships a full container and retries instead of
+// failing the run.
+var ErrShardMissing = errors.New("dist: shard not installed on worker")
 
 // Transport is the wire behind the coordinator: one method per protocol
 // RPC. The default is HTTP/1.1 (httpTransport); a gRPC implementation can
@@ -34,28 +26,20 @@ var (
 type Transport interface {
 	Healthz(ctx context.Context, url string) (shards int, err error)
 	InstallShard(ctx context.Context, url, key string, payload []byte) error
-	InstallDelta(ctx context.Context, url, key, baseKey string, payload []byte) error
 	StartRun(ctx context.Context, url string, spec RunSpec) error
 	Step(ctx context.Context, url, runID string, frame []byte) ([]byte, error)
 	FinishRun(ctx context.Context, url, runID string) error
 }
 
-// workerCache remembers what a worker most recently received so the next
-// run for a grown/shrunk generation can ship a delta instead of the world.
-type workerCache struct {
-	lastKey string
-	lastPG  *pregel.PartitionedGraph
-}
-
-// Pool is a fixed set of workers plus the per-worker shard caches. It is
-// safe for concurrent use; the shard-prepare phase is serialized so two
-// concurrent runs cannot interleave delta chains on the same worker.
+// Pool is a fixed set of workers plus the key of the shard each one was
+// last sent. It is safe for concurrent use; the shard-prepare phase is
+// serialized so two concurrent runs never ship the same shard twice.
 type Pool struct {
 	urls []string
 	tr   Transport
 
-	mu    sync.Mutex
-	cache map[string]*workerCache
+	mu      sync.Mutex
+	lastKey []string // by worker index
 
 	runPrefix string
 	runSeq    atomic.Uint64
@@ -69,7 +53,7 @@ func NewPool(urls []string) *Pool {
 	p := &Pool{
 		urls:      append([]string(nil), urls...),
 		tr:        newHTTPTransport(),
-		cache:     make(map[string]*workerCache),
+		lastKey:   make([]string, len(urls)),
 		runPrefix: hex.EncodeToString(prefix[:]),
 	}
 	return p
@@ -179,13 +163,6 @@ func (t *httpTransport) Healthz(ctx context.Context, url string) (int, error) {
 func (t *httpTransport) InstallShard(ctx context.Context, url, key string, payload []byte) error {
 	_, err := t.do(ctx, "ShardInstall", http.MethodPost, url+"/dist/v1/shards",
 		map[string]string{HeaderShardKey: key}, payload, 0, nil)
-	return err
-}
-
-func (t *httpTransport) InstallDelta(ctx context.Context, url, key, baseKey string, payload []byte) error {
-	_, err := t.do(ctx, "ShardDelta", http.MethodPost, url+"/dist/v1/shards/delta",
-		map[string]string{HeaderShardKey: key, HeaderShardBase: baseKey}, payload,
-		http.StatusConflict, ErrBaseMissing)
 	return err
 }
 

@@ -2,10 +2,10 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -19,99 +19,57 @@ import (
 // Grow/Shrink generations of a handful of graphs.
 const maxShards = 8
 
-// maxBodyBytes caps request bodies (shard containers dominate).
+// maxBodyBytes caps ShardInstall bodies (a shard container is the
+// largest thing a worker receives); superstep frames are capped per run by
+// workerRun.maxFrame.
 const maxBodyBytes = 1 << 30
 
-// rawPart keeps one owned partition's wire tables so a later delta can
-// append to or compare against them without re-deriving anything from the
-// built engine structures.
-type rawPart struct {
-	lv, src, dst []int32
-}
-
-// workerShard is one installed shard generation: raw tables (for delta
-// application), built engine partitions, and the vertex/degree tables the
-// algorithm programs need.
+// workerShard is one installed shard generation: the built engine
+// partitions plus the vertex/degree tables the algorithm programs need.
 type workerShard struct {
-	key      string
-	numParts int
-	verts    []graph.VertexID
-	outDeg   []int32
-	raw      map[int]*rawPart
-	parts    map[int]*pregel.Partition
-	idx      map[graph.VertexID]int32
-	owned    []int // sorted partition indices
+	key    string
+	verts  []graph.VertexID
+	outDeg []int32
+	parts  map[int]*pregel.Partition
+	idx    map[graph.VertexID]int32
+	owned  []int // ascending partition indices
 }
 
-// buildWorkerShard materializes a shard payload, either standalone or as a
-// delta over base. Raw tables are never mutated after build, so unchanged
-// delta entries share the base's slices.
-func buildWorkerShard(key string, sp *snap.ShardPayload, base *workerShard) (*workerShard, error) {
+// buildWorkerShard materializes a decoded shard payload. DecodeShard has
+// already checked the table lengths and that the parts are strictly
+// ascending, so owned comes out sorted and duplicate-free.
+func buildWorkerShard(key string, sp *snap.ShardPayload) (*workerShard, error) {
 	ws := &workerShard{
-		key:      key,
-		numParts: sp.NumParts,
-		outDeg:   sp.OutDeg,
-		raw:      make(map[int]*rawPart),
-		parts:    make(map[int]*pregel.Partition),
+		key:    key,
+		verts:  sp.Verts,
+		outDeg: sp.OutDeg,
+		parts:  make(map[int]*pregel.Partition, len(sp.Parts)),
 	}
-	if sp.IsDelta() {
-		if base == nil {
-			return nil, fmt.Errorf("dist: delta shard %s has no base", key)
-		}
-		if len(base.verts) != sp.OldNumVerts {
-			return nil, fmt.Errorf("dist: delta base holds %d vertices, payload expects %d", len(base.verts), sp.OldNumVerts)
-		}
-		ws.verts = make([]graph.VertexID, 0, sp.NumVerts)
-		ws.verts = append(append(ws.verts, base.verts...), sp.Verts...)
-	} else {
-		ws.verts = sp.Verts
-	}
-	if len(ws.verts) != sp.NumVerts {
-		return nil, fmt.Errorf("dist: shard %s holds %d vertices, meta says %d", key, len(ws.verts), sp.NumVerts)
-	}
-	if len(sp.OutDeg) != sp.NumVerts {
-		return nil, fmt.Errorf("dist: shard %s out-degree table holds %d entries, want %d", key, len(sp.OutDeg), sp.NumVerts)
-	}
-
 	for i := range sp.Parts {
 		p := &sp.Parts[i]
-		var rp *rawPart
-		switch p.Mode {
-		case snap.ShardPartReplace:
-			rp = &rawPart{lv: p.LocalVerts, src: p.EdgeSrc, dst: p.EdgeDst}
-		case snap.ShardPartUnchanged:
-			if base == nil || base.raw[p.Index] == nil {
-				return nil, fmt.Errorf("dist: shard %s marks partition %d unchanged without a base copy", key, p.Index)
-			}
-			rp = base.raw[p.Index]
-		case snap.ShardPartAppend:
-			old := (*rawPart)(nil)
-			if base != nil {
-				old = base.raw[p.Index]
-			}
-			if old == nil {
-				return nil, fmt.Errorf("dist: shard %s appends to partition %d without a base copy", key, p.Index)
-			}
-			rp = &rawPart{
-				lv:  append(append(make([]int32, 0, len(old.lv)+len(p.LocalVerts)), old.lv...), p.LocalVerts...),
-				src: append(append(make([]int32, 0, len(old.src)+len(p.EdgeSrc)), old.src...), p.EdgeSrc...),
-				dst: append(append(make([]int32, 0, len(old.dst)+len(p.EdgeDst)), old.dst...), p.EdgeDst...),
-			}
-		}
-		ws.raw[p.Index] = rp
-		part, err := pregel.NewPartition(sp.NumVerts, rp.lv, rp.src, rp.dst)
+		part, err := pregel.NewPartition(sp.NumVerts, p.LocalVerts, p.EdgeSrc, p.EdgeDst)
 		if err != nil {
 			return nil, fmt.Errorf("dist: shard %s partition %d: %w", key, p.Index, err)
 		}
 		ws.parts[p.Index] = part
 		ws.owned = append(ws.owned, p.Index)
 	}
-	sort.Ints(ws.owned)
 	ws.idx = make(map[graph.VertexID]int32, len(ws.verts))
 	for i, v := range ws.verts {
 		ws.idx[v] = int32(i)
 	}
 	return ws, nil
+}
+
+// maxBroadcastFrame is the largest broadcast frame a run over ws with
+// valSize-byte values can legally receive: every owned partition present,
+// each with one pair per local vertex.
+func (ws *workerShard) maxBroadcastFrame(valSize int) int64 {
+	n := int64(12)
+	for _, p := range ws.owned {
+		n += 8 + int64(len(ws.parts[p].LocalVerts))*int64(4+valSize)
+	}
+	return n
 }
 
 // degOf is the out-degree closure the PageRank programs divide by; it must
@@ -182,10 +140,12 @@ func newShardRun(spec RunSpec, ws *workerShard) (shardRun, error) {
 }
 
 // workerRun is one live run's compute state plus its superstep sequencer.
+// maxFrame caps the run's SuperstepExchange bodies.
 type workerRun struct {
 	mu       sync.Mutex
 	shard    *workerShard
 	run      shardRun
+	maxFrame int64
 	lastStep int
 }
 
@@ -257,8 +217,6 @@ func (w *Worker) handlerFor(name string) http.HandlerFunc {
 		return w.handleHealth
 	case "ShardInstall":
 		return w.handleShardInstall
-	case "ShardDelta":
-		return w.handleShardDelta
 	case "RunStart":
 		return w.handleRunStart
 	case "SuperstepExchange":
@@ -293,10 +251,17 @@ func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(rw).Encode(map[string]any{"status": "ok", "shards": w.NumShards()})
 }
 
-func readBody(rw http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, maxBodyBytes))
+// readBody reads a request body of at most limit bytes: 413 past the
+// limit, 400 on any other read error.
+func readBody(rw http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, limit))
 	if err != nil {
-		http.Error(rw, "reading body: "+err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(rw, "reading body: "+err.Error(), code)
 		return nil, false
 	}
 	return body, true
@@ -308,7 +273,7 @@ func (w *Worker) handleShardInstall(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "missing "+HeaderShardKey, http.StatusBadRequest)
 		return
 	}
-	body, ok := readBody(rw, r)
+	body, ok := readBody(rw, r, maxBodyBytes)
 	if !ok {
 		return
 	}
@@ -317,49 +282,7 @@ func (w *Worker) handleShardInstall(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if sp.IsDelta() {
-		http.Error(rw, "delta payload on the full-install endpoint", http.StatusBadRequest)
-		return
-	}
-	ws, err := buildWorkerShard(key, sp, nil)
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.installShard(ws)
-	rw.WriteHeader(http.StatusNoContent)
-}
-
-func (w *Worker) handleShardDelta(rw http.ResponseWriter, r *http.Request) {
-	key := r.Header.Get(HeaderShardKey)
-	baseKey := r.Header.Get(HeaderShardBase)
-	if key == "" || baseKey == "" {
-		http.Error(rw, "missing shard key headers", http.StatusBadRequest)
-		return
-	}
-	base, ok := w.shard(baseKey)
-	if !ok {
-		http.Error(rw, "base shard not installed: "+baseKey, http.StatusConflict)
-		return
-	}
-	body, ok := readBody(rw, r)
-	if !ok {
-		return
-	}
-	sp, err := snap.DecodeShard(body)
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !sp.IsDelta() {
-		http.Error(rw, "full payload on the delta endpoint", http.StatusBadRequest)
-		return
-	}
-	if sp.BaseFP != keyFP(baseKey) {
-		http.Error(rw, "delta base fingerprint does not match "+baseKey, http.StatusBadRequest)
-		return
-	}
-	ws, err := buildWorkerShard(key, sp, base)
+	ws, err := buildWorkerShard(key, sp)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
@@ -389,7 +312,7 @@ func (w *Worker) handleRunStart(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.mu.Lock()
-	w.runs[spec.Run] = &workerRun{shard: ws, run: run}
+	w.runs[spec.Run] = &workerRun{shard: ws, run: run, maxFrame: ws.maxBroadcastFrame(run.valSize())}
 	w.mu.Unlock()
 	rw.WriteHeader(http.StatusNoContent)
 }
@@ -403,7 +326,7 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "unknown run: "+id, http.StatusNotFound)
 		return
 	}
-	body, ok := readBody(rw, r)
+	body, ok := readBody(rw, r, wr.maxFrame)
 	if !ok {
 		return
 	}

@@ -24,6 +24,9 @@ import (
 // bundle whose topology record embeds a full KindTopology container, which
 // nothing encodes any more. It stays committed, read-only, so every build
 // keeps restoring it (internal/store's TestGoldenStoreRestore).
+// shard-delta.snap is not among them either: it is a delta shard from the
+// retired per-partition delta layout, committed as an input every build
+// must reject (TestGoldenRejectsDeltaShard).
 
 var update = flag.Bool("update", false, "rewrite the golden snapshot files")
 
@@ -68,64 +71,21 @@ func goldenArtifacts(t testing.TB) (*graph.Graph, *partition.Assignment, *pregel
 	return g, a, pg, m
 }
 
-// goldenGrowth is appended to the golden graph for the delta shard: a new
-// vertex (10) plus an edge between existing vertices, so the delta carries
-// appended, replaced and unchanged partitions.
-var goldenGrowth = []graph.Edge{{Src: 9, Dst: 10}, {Src: 10, Dst: 8}, {Src: 0, Dst: 5}}
-
-// shardPart flattens one partition into shard tables.
-func shardPart(p int, mode ShardPartMode, part *pregel.Partition) ShardPart {
-	sp := ShardPart{Index: p, Mode: mode, LocalVerts: slices.Clone(part.LocalVerts)}
-	for j := 0; j < part.NumEdges(); j++ {
-		s, d := part.EdgeAt(j)
-		sp.EdgeSrc = append(sp.EdgeSrc, s)
-		sp.EdgeDst = append(sp.EdgeDst, d)
+// goldenShard cuts the shard of a one-worker cluster (the worker owns
+// every partition) the way the distributed coordinator does.
+func goldenShard(pg *pregel.PartitionedGraph) *ShardPayload {
+	g := pg.G
+	sp := &ShardPayload{GraphFP: g.Fingerprint(), NumParts: pg.NumParts, NumVerts: g.NumVertices(), Verts: g.Vertices(), OutDeg: g.OutDegrees()}
+	for p, part := range pg.Parts {
+		sh := ShardPart{Index: p, LocalVerts: slices.Clone(part.LocalVerts)}
+		for j := 0; j < part.NumEdges(); j++ {
+			s, d := part.EdgeAt(j)
+			sh.EdgeSrc = append(sh.EdgeSrc, s)
+			sh.EdgeDst = append(sh.EdgeDst, d)
+		}
+		sp.Parts = append(sp.Parts, sh)
 	}
 	return sp
-}
-
-// goldenShards cuts the shards of a one-worker cluster (the worker owns
-// every partition) the way the distributed coordinator does: a full shard of the golden topology, and a delta shard taking it
-// to the topology of the golden graph grown by goldenGrowth. A delta part
-// is unchanged when its tables are equal, appended when the old tables
-// are a prefix of the new ones, and replaced otherwise. BaseFP is any
-// nonzero id of the base shard; the coordinator uses a hash of its key.
-func goldenShards(t testing.TB, pg *pregel.PartitionedGraph) (full, delta *ShardPayload) {
-	t.Helper()
-	g := pg.G
-	ng, _ := g.Grow(goldenGrowth)
-	na, err := partition.Assign(ng, partition.EdgePartition2D(), pg.NumParts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	npg, err := pregel.NewPartitionedGraphFromAssignment(na, pregel.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full = &ShardPayload{GraphFP: g.Fingerprint(), NumParts: pg.NumParts, NumVerts: g.NumVertices(), Verts: g.Vertices(), OutDeg: g.OutDegrees()}
-	oldVerts := g.NumVertices()
-	delta = &ShardPayload{
-		GraphFP:     ng.Fingerprint(),
-		BaseFP:      g.Fingerprint(),
-		NumParts:    npg.NumParts,
-		NumVerts:    ng.NumVertices(),
-		OldNumVerts: oldVerts,
-		Verts:       ng.Vertices()[oldVerts:],
-		OutDeg:      ng.OutDegrees(),
-	}
-	for p := 0; p < pg.NumParts; p++ {
-		full.Parts = append(full.Parts, shardPart(p, ShardPartReplace, pg.Parts[p]))
-		o, n := shardPart(p, ShardPartReplace, pg.Parts[p]), shardPart(p, ShardPartReplace, npg.Parts[p])
-		nlv, ne := len(o.LocalVerts), len(o.EdgeSrc)
-		switch {
-		case reflect.DeepEqual(o, n):
-			n = ShardPart{Index: p, Mode: ShardPartUnchanged, LocalVerts: []int32{}, EdgeSrc: []int32{}, EdgeDst: []int32{}}
-		case slices.Equal(o.LocalVerts, n.LocalVerts[:nlv]) && slices.Equal(o.EdgeSrc, n.EdgeSrc[:ne]) && slices.Equal(o.EdgeDst, n.EdgeDst[:ne]):
-			n = ShardPart{Index: p, Mode: ShardPartAppend, LocalVerts: n.LocalVerts[nlv:], EdgeSrc: n.EdgeSrc[ne:], EdgeDst: n.EdgeDst[ne:]}
-		}
-		delta.Parts = append(delta.Parts, n)
-	}
-	return full, delta
 }
 
 // goldenBlockGraph is the golden graph on the block tier: one 64-edge
@@ -141,7 +101,6 @@ func goldenBlockGraph(g *graph.Graph) *graph.Graph {
 func goldenFiles(t testing.TB) map[string][]byte {
 	t.Helper()
 	g, a, pg, m := goldenArtifacts(t)
-	full, delta := goldenShards(t, pg)
 	var bg bytes.Buffer
 	if err := WriteBlockGraph(&bg, goldenBlockGraph(g)); err != nil {
 		t.Fatal(err)
@@ -161,9 +120,8 @@ func goldenFiles(t testing.TB) map[string][]byte {
 				{GraphIndex: 0, Stage: StageTopology, StrategyKey: "2D", NumParts: goldenParts},
 			},
 		),
-		"shard.snap":       EncodeShard(full),
-		"shard-delta.snap": EncodeShard(delta),
-		"blockgraph.snap":  bg.Bytes(),
+		"shard.snap":      EncodeShard(goldenShard(pg)),
+		"blockgraph.snap": bg.Bytes(),
 	}
 }
 
@@ -234,18 +192,10 @@ func TestGoldenCompat(t *testing.T) {
 		}
 	}
 
-	full, delta := goldenShards(t, pg)
-	if modes := shardModes(delta); !slices.Equal(modes, []ShardPartMode{ShardPartAppend, ShardPartUnchanged, ShardPartReplace, ShardPartUnchanged}) {
-		t.Errorf("golden delta shard part modes %v, want [append unchanged replace unchanged]", modes)
-	}
-	for name, want := range map[string]*ShardPayload{"shard.snap": full, "shard-delta.snap": delta} {
-		got, err := DecodeShard(readGolden(t, name))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s decodes to a different payload:\n got %+v\nwant %+v", name, got, want)
-		}
+	if got, err := DecodeShard(readGolden(t, "shard.snap")); err != nil {
+		t.Fatalf("shard.snap: %v", err)
+	} else if want := goldenShard(pg); !reflect.DeepEqual(got, want) {
+		t.Errorf("shard.snap decodes to a different payload:\n got %+v\nwant %+v", got, want)
 	}
 
 	data := readGolden(t, "blockgraph.snap")
@@ -259,25 +209,27 @@ func TestGoldenCompat(t *testing.T) {
 	}
 }
 
-func shardModes(sp *ShardPayload) []ShardPartMode {
-	var modes []ShardPartMode
-	for _, p := range sp.Parts {
-		modes = append(modes, p.Mode)
+// TestGoldenRejectsDeltaShard keeps the retired delta shard layout out:
+// shard-delta.snap is a delta shard (nonzero base and old-vertex words,
+// unchanged and append part modes) that an older coordinator could send,
+// and every build must refuse to decode it.
+func TestGoldenRejectsDeltaShard(t *testing.T) {
+	if _, err := DecodeShard(readGolden(t, "shard-delta.snap")); err == nil {
+		t.Fatal("shard-delta.snap decoded; delta shards must be rejected")
 	}
-	return modes
 }
 
-// goldenDecoders maps every golden file to the typed decoder for its kind.
+// goldenDecoders maps every golden file that must decode to the typed
+// decoder for its kind.
 func goldenDecoders() map[string]func([]byte) error {
 	g := goldenGraph()
 	return map[string]func([]byte) error{
-		"graph.snap":       func(d []byte) error { _, err := DecodeGraph(d); return err },
-		"assignment.snap":  func(d []byte) error { _, err := DecodeAssignment(d, g, "2D"); return err },
-		"metrics.snap":     func(d []byte) error { _, err := DecodeMetrics(d, g, "2D"); return err },
-		"store.snap":       func(d []byte) error { _, _, err := DecodeStore(d); return err },
-		"persist.snap":     func(d []byte) error { _, _, err := DecodeStore(d); return err },
-		"shard.snap":       func(d []byte) error { _, err := DecodeShard(d); return err },
-		"shard-delta.snap": func(d []byte) error { _, err := DecodeShard(d); return err },
+		"graph.snap":      func(d []byte) error { _, err := DecodeGraph(d); return err },
+		"assignment.snap": func(d []byte) error { _, err := DecodeAssignment(d, g, "2D"); return err },
+		"metrics.snap":    func(d []byte) error { _, err := DecodeMetrics(d, g, "2D"); return err },
+		"store.snap":      func(d []byte) error { _, _, err := DecodeStore(d); return err },
+		"persist.snap":    func(d []byte) error { _, _, err := DecodeStore(d); return err },
+		"shard.snap":      func(d []byte) error { _, err := DecodeShard(d); return err },
 		"blockgraph.snap": func(d []byte) error {
 			_, err := OpenBlockGraphAt(bytes.NewReader(d), int64(len(d)))
 			return err
